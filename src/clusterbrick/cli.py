@@ -69,7 +69,7 @@ def _parse_cartan(args) -> CartanMatrix:
             raise ValueError("give either --type or --cartan, not both")
         with open(args.cartan, encoding="utf-8") as handle:
             rows = json.load(handle)
-        return CartanMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return CartanMatrix(rows)
     if args.type is None:
         raise ValueError("one of --type or --cartan is required")
     label = args.type.strip().upper()
@@ -271,6 +271,16 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--type", help="family plus rank, such as B3")
     parser.add_argument("--rank", type=int,
@@ -280,8 +290,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma separated simple reflections; default 1..n")
     parser.add_argument("--emit-json", dest="emit_json",
                         help="also write the result as JSON to this path")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for verification checks")
+    parser.add_argument("--jobs", type=_jobs, default=1,
+                        help="worker threads for verification checks, at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from .errors import InvariantViolation
-from .roots import CartanMatrix, Vec, positive_roots, reflect_root, reflect_weight, transpose
+from .roots import (CartanMatrix, Vec, det_adjugate, positive_roots, reflect_root,
+                    reflect_weight, transpose)
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -33,55 +33,17 @@ def apply_matrix(m: Matrix, v: Vec) -> Vec:
     return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in m)
 
 
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def det_int(m: Matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    if det.denominator != 1:
-        raise InvariantViolation("integer determinant came out fractional")  # pragma: no cover
-    return int(det)
+    """Determinant of a square integer matrix."""
+    return det_adjugate(m)[0]
 
 
 def matrix_inverse(m: Matrix) -> Matrix:
     """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    aug = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(1 if c == r else 0) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InvariantViolation("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for r in range(n):
-        row = aug[r][n:]
-        if any(x.denominator != 1 for x in row):
-            raise InvariantViolation("inverse is not integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    det, adj = det_adjugate(m)
+    if det not in (1, -1):
+        raise InvariantViolation(f"matrix has determinant {det}, so its inverse is not integral")
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ G2 is [[2, -1], [-3, 2]].
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,8 @@ class CartanMatrix:
 
     rows[s][t] pairs the t-th simple root against the s-th simple coroot:
     diagonal 2, off-diagonal <= 0, zero entries symmetric, products of
-    opposite off-diagonal entries in {0, 1, 2, 3}.  Construction validates
+    opposite off-diagonal entries in {0, 1, 2, 3}.  Construction rejects
+    any entry that is not an int (bools included) and validates
     symmetrizability and positive definiteness, so it succeeds exactly for
     finite types.
     """
@@ -50,13 +52,25 @@ class CartanMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        try:
+            rows = tuple(tuple(row) for row in self.rows)
+        except TypeError:
+            raise InvalidCartanMatrix("matrix must be a sequence of rows") from None
+        for row in rows:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InvalidCartanMatrix(f"entry {x!r} is not an integer")
         object.__setattr__(self, "rows", rows)
         _validate_cartan(rows)
 
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @functools.cached_property
+    def det_adjugate(self) -> tuple[int, tuple[Vec, ...]]:
+        """(det, adjugate) of the matrix, computed once per instance."""
+        return det_adjugate(self.rows)
 
     def entry(self, s: int, t: int) -> int:
         """a_{st} with 1-based node indices."""
@@ -81,14 +95,13 @@ def _validate_cartan(rows: tuple[tuple[int, ...], ...]) -> None:
             if a * b > 3:
                 raise InvalidCartanMatrix(f"entry product {a * b} > 3 at ({s + 1},{t + 1})")
     d = _symmetrizer(rows)
-    for s in range(n):
-        for t in range(n):
-            if d[s] * rows[s][t] != d[t] * rows[t][s]:
-                raise InvalidCartanMatrix("matrix is not symmetrizable")
-    sym = [[d[s] * rows[s][t] for t in range(n)] for s in range(n)]
+    scale = math.lcm(*(x.denominator for x in d))
+    sym = [[int(d[s] * scale) * rows[s][t] for t in range(n)] for s in range(n)]
+    if any(sym[s][t] != sym[t][s] for s in range(n) for t in range(s)):
+        raise InvalidCartanMatrix("matrix is not symmetrizable")
     for k in range(1, n + 1):
         minor = [row[:k] for row in sym[:k]]
-        if _det_fraction(minor) <= 0:
+        if det_adjugate(minor)[0] <= 0:
             raise InvalidCartanMatrix("symmetrization is not positive definite (not finite type)")
 
 
@@ -110,28 +123,49 @@ def _symmetrizer(rows: tuple[tuple[int, ...], ...]) -> list[Fraction]:
     return [x if x is not None else Fraction(1) for x in d]
 
 
-def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+def det_adjugate(matrix) -> tuple[int, tuple[Vec, ...] | None]:
+    """Determinant and adjugate of a square integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp.
+    1968) on [matrix | I].  By Sylvester's identity every intermediate
+    entry is, up to sign, a minor of the row-permuted augmented matrix, so
+    each division by the previous pivot is exact.  The left block ends as
+    the last pivot times I, which makes the right block the last pivot
+    times the inverse; the row swaps fix the sign.  The adjugate is None
+    when the determinant is 0.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(matrix)]
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+            return 0, None
+        if pivot != k:
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            sign = -sign
+        top = aug[k]
+        p = top[k]
+        for r in range(n):
+            if r != k:
+                row = aug[r]
+                f = row[k]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
 def cartan_of_type(family: str, rank: int) -> CartanMatrix:
     """Cartan matrix for an irreducible finite type in Bourbaki numbering."""
+    return CartanMatrix(cartan_rows(family, rank))
+
+
+def cartan_rows(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of cartan_of_type(family, rank), without the validation that
+    constructing a CartanMatrix runs; cheap enough to compare against."""
     fam = str(family).strip().upper()
     if fam not in _RANK_OK or not isinstance(rank, int) or not _RANK_OK[fam](rank):
         raise InvalidCartanType(f"no finite type {family}{rank}")
@@ -164,7 +198,7 @@ def cartan_of_type(family: str, rank: int) -> CartanMatrix:
             edge(7, 8)
     else:  # G
         rows = [[2, -1], [-3, 2]]
-    return CartanMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,22 +271,15 @@ def weight_diff_to_root_coords(cartan: CartanMatrix, w1: Vec, w2: Vec) -> Vec:
     """
     _check_dim(cartan, w1)
     _check_dim(cartan, w2)
-    n = cartan.n
-    aug = [[Fraction(cartan.rows[r][c]) for c in range(n)] + [Fraction(w1[r] - w2[r])]
-           for r in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    sol = [aug[r][n] for r in range(n)]
-    if any(x.denominator != 1 for x in sol):
-        raise NotInRootLattice(f"difference {tuple(w1[i] - w2[i] for i in range(n))} is not in the root lattice")
-    return tuple(int(x) for x in sol)
+    det, adj = cartan.det_adjugate
+    diff = [a - b for a, b in zip(w1, w2)]
+    out = []
+    for row in adj:
+        q, r = divmod(sum(x * y for x, y in zip(row, diff)), det)
+        if r:
+            raise NotInRootLattice(f"difference {tuple(diff)} is not in the root lattice")
+        out.append(q)
+    return tuple(out)
 
 
 def pair(cartan: CartanMatrix, root_vec: Vec, coroot_vec: Vec) -> int:

@@ -168,10 +168,6 @@ def coroot_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
     return _entry(complex_, facet, k, "coroot")
 
 
-def coweight_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
-    return _entry(complex_, facet, k, "coweight")
-
-
 def _entry(complex_: ClusterComplex, facet: Facet, k: int, kind: str) -> Vec:
     if not 1 <= k <= complex_.m:
         raise ValueError(f"position {k} out of range 1..{complex_.m}")
@@ -193,16 +189,10 @@ def _entry(complex_: ClusterComplex, facet: Facet, k: int, kind: str) -> Vec:
         for s in reversed(letters):
             v = reflect_weight(cartan, s, v)
         return v
-    if kind == "coroot":
-        from .roots import reflect_coroot
-        v = unit
-        for s in reversed(letters):
-            v = reflect_coroot(cartan, s, v)
-        return v
-    from .roots import reflect_coweight
+    from .roots import reflect_coroot
     v = unit
     for s in reversed(letters):
-        v = reflect_coweight(cartan, s, v)
+        v = reflect_coroot(cartan, s, v)
     return v
 
 

@@ -18,11 +18,11 @@ from .cluster import (FPolynomial, MPoly, Seed, c_vector, cluster_key,
                       d_vector, f_polynomial, g_vector, initial_seed, mutate,
                       principal_part)
 from .coxeter import Word, coxeter_words, det_int
-from .errors import InvariantViolation, NotInRootLattice
+from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import (LatticePolytope, convex_hull_vertices,
                        equal_up_to_translation, minkowski_sum)
-from .roots import (CartanMatrix, Vec, cartan_of_type, pair, reflect_weight,
-                    root_to_weight_coords, w_catalan,
+from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows, pair,
+                    reflect_weight, root_to_weight_coords, w_catalan,
                     weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
                       brick_vector, build_complex, flip, greedy_facet,
@@ -36,9 +36,9 @@ def type_label(cartan: CartanMatrix) -> str:
     """Family-plus-rank label such as "B3", or "custom3" when unrecognized."""
     for family in _FAMILIES:
         try:
-            if cartan_of_type(family, cartan.n) == cartan:
+            if cartan_rows(family, cartan.n) == cartan.rows:
                 return f"{family}{cartan.n}"
-        except Exception:
+        except InvalidCartanType:  # the family has no type of this rank
             continue
     return f"custom{cartan.n}"
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from clusterbrick.cli import _jsonable, main, root_string
 
 
@@ -81,6 +83,31 @@ def test_custom_cartan_file(tmp_path, capsys):
     code, out, err = run(capsys, "facets", "--cartan", str(path))
     assert code == 0
     assert out.splitlines()[0] == "type A2, coxeter 1,2"
+
+
+@pytest.mark.parametrize("text", [
+    "[[2, -1.7], [-1, 2]]",      # a float that int() would truncate
+    "[[2, -1.0], [-1, 2]]",      # a float with an integer value
+    '[[2, "-1"], [-1, 2]]',      # a string
+    "[[2, false], [false, 2]]",   # bools, which int() would read as A1xA1
+    "[2, -1]",                   # rows that are not sequences
+])
+def test_cartan_file_entries_must_be_integers(tmp_path, capsys, text):
+    path = tmp_path / "cartan.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "facets", "--cartan", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("jobs", ["-3", "0", "x"])
+def test_jobs_below_one_is_rejected(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "A2", "--checks", "c-vectors",
+              "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --jobs" in err
 
 
 def test_emit_json_round_trip(tmp_path, capsys):
