@@ -19,15 +19,15 @@ from .errors import (ClusterBrickError, DimensionMismatch, InexactDivision,
 from .polytope import (LatticePolytope, convex_hull_vertices,
                        equal_up_to_translation, minkowski_sum, translate)
 from .roots import (CartanMatrix, cartan_of_type, coroot_of_root,
-                    coroot_to_coweight_coords, coxeter_number, degrees, height,
-                    pair, positive_roots, reflect_coroot, reflect_coweight,
-                    reflect_root, reflect_weight, root_to_weight_coords,
-                    transpose, w_catalan, weight_diff_to_root_coords)
+                    coxeter_number, degrees, height, pair, positive_roots,
+                    reflect_coroot, reflect_root, reflect_weight,
+                    root_to_weight_coords, transpose, w_catalan,
+                    weight_diff_to_root_coords)
 from .subword import (ClusterComplex, RootTable, antigreedy_facet, brick_vector,
                       brute_force_facets, build_complex, enumerate_facets,
                       enumerate_facets_with_tables, flip, greedy_facet,
-                      is_facet, root_configuration, root_function, root_table,
-                      update_after_flip, weight_configuration, weight_function)
+                      is_facet, root_function, root_table, update_after_flip,
+                      walk_flips, weight_function)
 from .typea import (CrossingDiagonal, TPath, Triangulation,
                     ambient_representative, boundary_letter, diagonal_of_root,
                     enumerate_tpaths, f_poly_via_prefixes, f_poly_via_tpaths,

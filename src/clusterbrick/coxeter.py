@@ -13,7 +13,7 @@ import itertools
 
 from .errors import InvariantViolation
 from .roots import (CartanMatrix, Vec, det_adjugate, positive_roots, reflect_root,
-                    reflect_weight, transpose)
+                    reflect_weight)
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]

@@ -1,9 +1,10 @@
 """Finite-type Cartan matrices and exact root/weight coordinate arithmetic.
 
 Vectors are plain tuples of ints.  Roots live in simple-root coordinates,
-weights in fundamental-weight coordinates.  The dual systems (coroots,
-coweights) are the same coordinate systems taken for the transposed Cartan
-matrix, which is how every *_co variant is realized.  No floats anywhere.
+weights in fundamental-weight coordinates.  Coroots live in simple-coroot
+coordinates, which are simple-root coordinates for the transposed Cartan
+matrix; that is how `reflect_coroot` and `coroot_of_root` work.  No floats
+anywhere.
 
 Node numbering is Bourbaki throughout.  Orientation conventions for the
 non-symmetric entries: B_n has a[n][n-1] = -2 (last simple root short),
@@ -158,6 +159,16 @@ def det_adjugate(matrix) -> tuple[int, tuple[Vec, ...] | None]:
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
+def _family(family: str, rank: int) -> str:
+    """Normalized family letter of a finite type; the rank must be an int,
+    not a bool."""
+    fam = str(family).strip().upper()
+    if (fam not in _RANK_OK or not isinstance(rank, int) or isinstance(rank, bool)
+            or not _RANK_OK[fam](rank)):
+        raise InvalidCartanType(f"no finite type {family}{rank}")
+    return fam
+
+
 def cartan_of_type(family: str, rank: int) -> CartanMatrix:
     """Cartan matrix for an irreducible finite type in Bourbaki numbering."""
     return CartanMatrix(cartan_rows(family, rank))
@@ -166,9 +177,7 @@ def cartan_of_type(family: str, rank: int) -> CartanMatrix:
 def cartan_rows(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Rows of cartan_of_type(family, rank), without the validation that
     constructing a CartanMatrix runs; cheap enough to compare against."""
-    fam = str(family).strip().upper()
-    if fam not in _RANK_OK or not isinstance(rank, int) or not _RANK_OK[fam](rank):
-        raise InvalidCartanType(f"no finite type {family}{rank}")
+    fam = _family(family, rank)
     n = rank
     rows = [[2 if s == t else 0 for t in range(n)] for s in range(n)]
 
@@ -243,11 +252,6 @@ def reflect_coroot(cartan: CartanMatrix, s: int, v: Vec) -> Vec:
     return reflect_root(transpose(cartan), s, v)
 
 
-def reflect_coweight(cartan: CartanMatrix, s: int, v: Vec) -> Vec:
-    """Simple reflection s applied to v in fundamental-coweight coordinates."""
-    return reflect_weight(transpose(cartan), s, v)
-
-
 def mat_vec(rows: tuple[tuple[int, ...], ...], v: Vec) -> Vec:
     return tuple(sum(row[t] * v[t] for t in range(len(v))) for row in rows)
 
@@ -256,11 +260,6 @@ def root_to_weight_coords(cartan: CartanMatrix, v: Vec) -> Vec:
     """Rewrite simple-root coordinates in the fundamental-weight basis."""
     _check_dim(cartan, v)
     return mat_vec(cartan.rows, v)
-
-
-def coroot_to_coweight_coords(cartan: CartanMatrix, v: Vec) -> Vec:
-    """Rewrite simple-coroot coordinates in the fundamental-coweight basis."""
-    return root_to_weight_coords(transpose(cartan), v)
 
 
 def weight_diff_to_root_coords(cartan: CartanMatrix, w1: Vec, w2: Vec) -> Vec:
@@ -360,9 +359,7 @@ _DEGREES_FIXED = {
 
 def degrees(family: str, rank: int) -> tuple[int, ...]:
     """Fundamental degrees of the reflection group of the given type."""
-    fam = str(family).strip().upper()
-    if fam not in _RANK_OK or not _RANK_OK[fam](rank):
-        raise InvalidCartanType(f"no finite type {family}{rank}")
+    fam = _family(family, rank)
     if fam == "A":
         return tuple(range(2, rank + 2))
     if fam in ("B", "C"):

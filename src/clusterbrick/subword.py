@@ -6,11 +6,17 @@ whose complement spells a reduced word for the longest element; positions
 are 1-based.  Each position carries an almost positive root, the first n
 the negated simple roots of the letters of c, the rest the positive roots
 in the order the sorting word sweeps them.
+
+`walk_flips` is the one breadth-first walk of the flip graph.  It carries
+the root tables along the flips and spot-checks them against tables built
+from scratch; facet enumeration here and the lockstep correspondence in
+`verify` both consume it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,20 +24,19 @@ from .coxeter import (
     Matrix,
     Word,
     apply_matrix,
-    element_of_word,
     identity_matrix,
-    length,
     longest_element,
     mat_mul,
     c_sorting_word,
     reflection_matrices,
     weight_reflection_matrices,
+    word_action_root,
+    word_action_weight,
 )
 from .errors import InvariantViolation
 from .roots import (
     CartanMatrix,
     Vec,
-    coroot_to_coweight_coords,
     pair,
     positive_roots,
     root_to_weight_coords,
@@ -68,15 +73,14 @@ class ClusterComplex:
 class RootTable:
     """Cached root/weight data of one facet, one entry per position.
 
-    Roots and coroots are in simple-root/coroot coordinates, weights and
-    coweights in fundamental-weight/coweight coordinates.
+    Roots and coroots are in simple-root/coroot coordinates, weights in
+    fundamental-weight coordinates.
     """
 
     facet: Facet
     roots: tuple[Vec, ...]
     weights: tuple[Vec, ...]
     coroots: tuple[Vec, ...]
-    coweights: tuple[Vec, ...]
 
 
 def build_complex(cartan: CartanMatrix, c: Word) -> ClusterComplex:
@@ -156,69 +160,53 @@ def is_facet(complex_: ClusterComplex, positions: Facet) -> bool:
 def root_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
     """Product of the complement letters before position k, applied to the
     simple root of the letter at k."""
-    return _entry(complex_, facet, k, "root")
+    return _entry(complex_, facet, k, word_action_root, complex_.cartan)
 
 
 def weight_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
     """Same prefix product applied to the fundamental weight of the letter at k."""
-    return _entry(complex_, facet, k, "weight")
+    return _entry(complex_, facet, k, word_action_weight, complex_.cartan)
 
 
 def coroot_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
-    return _entry(complex_, facet, k, "coroot")
+    """Same prefix product applied to the simple coroot of the letter at k,
+    in simple-coroot coordinates."""
+    return _entry(complex_, facet, k, word_action_root, transpose(complex_.cartan))
 
 
-def _entry(complex_: ClusterComplex, facet: Facet, k: int, kind: str) -> Vec:
+def _entry(complex_: ClusterComplex, facet: Facet, k: int, action,
+           cartan: CartanMatrix) -> Vec:
+    """`action` of the complement letters before position k on the unit
+    vector of the letter at k."""
     if not 1 <= k <= complex_.m:
         raise ValueError(f"position {k} out of range 1..{complex_.m}")
-    cartan = complex_.cartan
-    n = cartan.n
-    q = complex_.word[k - 1]
     chosen = set(facet)
-    letters = [complex_.word[p - 1] for p in range(1, k) if p not in chosen]
-    unit = tuple(1 if t == q - 1 else 0 for t in range(n))
-    if kind == "root":
-        from .roots import reflect_root
-        v = unit
-        for s in reversed(letters):
-            v = reflect_root(cartan, s, v)
-        return v
-    if kind == "weight":
-        from .roots import reflect_weight
-        v = unit
-        for s in reversed(letters):
-            v = reflect_weight(cartan, s, v)
-        return v
-    from .roots import reflect_coroot
-    v = unit
-    for s in reversed(letters):
-        v = reflect_coroot(cartan, s, v)
-    return v
+    letters = tuple(complex_.word[p - 1] for p in range(1, k) if p not in chosen)
+    q = complex_.word[k - 1]
+    unit = tuple(1 if t == q - 1 else 0 for t in range(complex_.n))
+    return action(cartan, letters, unit)
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
-    """Direct construction of all four rows in one left-to-right sweep."""
+    """Direct construction of all three rows in one left-to-right sweep."""
     cartan = complex_.cartan
     n = cartan.n
     chosen = set(facet)
     r_mats = reflection_matrices(cartan)
     w_mats = weight_reflection_matrices(cartan)
     rc_mats = reflection_matrices(transpose(cartan))
-    wc_mats = weight_reflection_matrices(transpose(cartan))
-    p_r = p_w = p_rc = p_wc = identity_matrix(n)
-    roots, weights, coroots, coweights = [], [], [], []
+    p_r = p_w = p_rc = identity_matrix(n)
+    roots, weights, coroots = [], [], []
     for k, q in enumerate(complex_.word, start=1):
         unit = tuple(1 if t == q - 1 else 0 for t in range(n))
         roots.append(apply_matrix(p_r, unit))
         weights.append(apply_matrix(p_w, unit))
         coroots.append(apply_matrix(p_rc, unit))
-        coweights.append(apply_matrix(p_wc, unit))
         if k not in chosen:
             p_r = mat_mul(p_r, r_mats[q - 1])
             p_w = mat_mul(p_w, w_mats[q - 1])
             p_rc = mat_mul(p_rc, rc_mats[q - 1])
-            p_wc = mat_mul(p_wc, wc_mats[q - 1])
-    return RootTable(tuple(facet), tuple(roots), tuple(weights), tuple(coroots), tuple(coweights))
+    return RootTable(tuple(facet), tuple(roots), tuple(weights), tuple(coroots))
 
 
 def flip(complex_: ClusterComplex, facet: Facet, i: int,
@@ -256,12 +244,10 @@ def update_after_flip(complex_: ClusterComplex, facet: Facet, i: int,
     beta = table.roots[i - 1]
     beta_co = table.coroots[i - 1]
     beta_w = root_to_weight_coords(cartan, beta)
-    beta_cw = coroot_to_coweight_coords(cartan, beta_co)
     lo, hi = min(i, j), max(i, j)
     roots = list(table.roots)
     weights = list(table.weights)
     coroots = list(table.coroots)
-    coweights = list(table.coweights)
     for k in range(lo + 1, hi + 1):
         x = roots[k - 1]
         roots[k - 1] = tuple(a - pair(cartan, x, beta_co) * b for a, b in zip(x, beta))
@@ -270,11 +256,7 @@ def update_after_flip(complex_: ClusterComplex, facet: Facet, i: int,
         weights[k - 1] = tuple(a - coef * b for a, b in zip(w, beta_w))
         y = coroots[k - 1]
         coroots[k - 1] = tuple(a - pair(cartan, beta, y) * b for a, b in zip(y, beta_co))
-        z = coweights[k - 1]
-        coef = sum(a * b for a, b in zip(beta, z))
-        coweights[k - 1] = tuple(a - coef * b for a, b in zip(z, beta_cw))
-    return RootTable(tuple(new_facet), tuple(roots), tuple(weights),
-                     tuple(coroots), tuple(coweights))
+    return RootTable(tuple(new_facet), tuple(roots), tuple(weights), tuple(coroots))
 
 
 def brick_vector(complex_: ClusterComplex, facet: Facet,
@@ -286,41 +268,48 @@ def brick_vector(complex_: ClusterComplex, facet: Facet,
     return tuple(sum(w[t] for w in table.weights) for t in range(n))
 
 
-def root_configuration(table: RootTable) -> tuple[Vec, ...]:
-    return tuple(table.roots[i - 1] for i in table.facet)
-
-
-def weight_configuration(table: RootTable) -> tuple[Vec, ...]:
-    return tuple(table.weights[i - 1] for i in table.facet)
-
-
 _SPOT_CHECK_EVERY = 20
 
 
-def enumerate_facets_with_tables(complex_: ClusterComplex) -> dict[Facet, RootTable]:
-    """All facets with cached tables, by breadth-first flips from the greedy
-    facet.  Tables are built incrementally; every 20th discovery and the
-    antigreedy facet are re-derived from scratch and compared."""
+def walk_flips(complex_: ClusterComplex) -> Iterator[tuple]:
+    """Every flip of the flip graph, breadth first from the greedy facet.
+
+    Yields (facet, i, new_facet, j, new_table) for each position i of each
+    facet in discovery order, where flipping i out of `facet` brings j into
+    `new_facet`.  `new_table` is the root table of `new_facet` the first
+    time the walk reaches it and None on every later edge into it.  The
+    first item, (None, 0, greedy, 0, table), introduces the greedy facet.
+
+    Tables are carried along the flips by `update_after_flip`; every 20th
+    discovery after the greedy facet, and the antigreedy facet, are rebuilt
+    from scratch and compared, raising InvariantViolation on a difference.
+    """
     greedy = greedy_facet(complex_)
     anti = antigreedy_facet(complex_)
-    found: dict[Facet, RootTable] = {greedy: root_table(complex_, greedy)}
+    tables = {greedy: root_table(complex_, greedy)}
+    yield None, 0, greedy, 0, tables[greedy]
     queue = deque([greedy])
-    count = 0
     while queue:
         facet = queue.popleft()
-        table = found[facet]
+        table = tables[facet]
         for i in facet:
             new_facet, j = flip(complex_, facet, i, table)
-            if new_facet in found:
+            if new_facet in tables:
+                yield facet, i, new_facet, j, None
                 continue
             new_table = update_after_flip(complex_, facet, i, new_facet, j, table)
-            count += 1
-            if count % _SPOT_CHECK_EVERY == 0 or new_facet == anti:
+            # before the k-th discovery after the greedy facet, k facets are known
+            if len(tables) % _SPOT_CHECK_EVERY == 0 or new_facet == anti:
                 if new_table != root_table(complex_, new_facet):
                     raise InvariantViolation(f"incremental table drifted at {new_facet}")
-            found[new_facet] = new_table
+            tables[new_facet] = new_table
             queue.append(new_facet)
-    return found
+            yield facet, i, new_facet, j, new_table
+
+
+def enumerate_facets_with_tables(complex_: ClusterComplex) -> dict[Facet, RootTable]:
+    """All facets with their root tables, in breadth-first discovery order."""
+    return {f: table for _, _, f, _, table in walk_flips(complex_) if table is not None}
 
 
 def enumerate_facets(complex_: ClusterComplex) -> tuple[Facet, ...]:

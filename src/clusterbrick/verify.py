@@ -1,5 +1,9 @@
 """Cross-checks that run the facet model and the mutation model in lockstep.
 
+`build_correspondence` consumes the one breadth-first flip walk,
+`subword.walk_flips`, which supplies each facet's root table, and mutates a
+seed along every flip it yields.  The checks read the resulting nodes.
+
 Every check returns a Report rather than raising: a failed mathematical
 statement is data (with a counterexample payload), not a crash.  Structural
 problems that would make the comparison itself meaningless still raise
@@ -19,14 +23,13 @@ from .cluster import (FPolynomial, MPoly, Seed, c_vector, cluster_key,
                       principal_part)
 from .coxeter import Word, coxeter_words, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
-from .polytope import (LatticePolytope, convex_hull_vertices,
-                       equal_up_to_translation, minkowski_sum)
+from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
 from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows, pair,
                     reflect_weight, root_to_weight_coords, w_catalan,
                     weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
                       brick_vector, build_complex, flip, greedy_facet,
-                      root_table, update_after_flip)
+                      walk_flips)
 from .typea import f_poly_via_prefixes, f_poly_via_tpaths, triangulation_of_coxeter
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -90,53 +93,40 @@ def _assert_position_map(complex_: ClusterComplex, node: Node) -> None:
                 f"{dv}, expected {complex_.pos_root[i - 1]}")
 
 
-_CORRESPONDENCE_SPOT = 20
-
-
 @lru_cache(maxsize=None)
 def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
-    """Breadth-first walk flipping facets and mutating seeds in lockstep.
+    """Seeds mutated in lockstep with the facet flips of `walk_flips`.
 
     Flipping position i of a facet corresponds to mutating the seed at the
     slot holding the variable of position i; the map position -> slot is
     carried along and re-verified at every vertex through the bijection
     between d-vectors and the almost positive roots attached to positions.
+    Every flip into a facet found earlier mutates too, and must reproduce
+    that facet's cluster: the result does not depend on the path.
     """
     complex_ = build_complex(cartan, c)
     n = complex_.n
-    start_facet = greedy_facet(complex_)
-    start = Node(start_facet, root_table(complex_, start_facet),
-                 initial_seed(cartan, c), {k: c[k - 1] for k in range(1, n + 1)})
-    _assert_position_map(complex_, start)
-    nodes = {start_facet: start}
-    keys = {start_facet: cluster_key(start.seed)}
-    queue = deque([start_facet])
-    created = 1
-    while queue:
-        facet = queue.popleft()
-        node = nodes[facet]
-        for i in facet:
-            new_facet, j = flip(complex_, facet, i, node.table)
+    nodes: dict[Facet, Node] = {}
+    keys = {}
+    for facet, i, new_facet, j, new_table in walk_flips(complex_):
+        if facet is None:
+            new_node = Node(new_facet, new_table, initial_seed(cartan, c),
+                            {k: c[k - 1] for k in range(1, n + 1)})
+        else:
+            node = nodes[facet]
             new_seed = mutate(node.seed, node.pos_to_slot[i])
-            if new_facet in nodes:
+            if new_table is None:
                 if cluster_key(new_seed) != keys[new_facet]:
                     raise InvariantViolation(
                         f"walk desynchronized at facet {new_facet}: two paths "
                         "give different clusters")
                 continue
-            new_table = update_after_flip(complex_, facet, i, new_facet, j,
-                                          node.table)
-            created += 1
-            if created % _CORRESPONDENCE_SPOT == 0 and \
-                    new_table != root_table(complex_, new_facet):
-                raise InvariantViolation("incremental table drifted")
             new_map = {k: s for k, s in node.pos_to_slot.items() if k != i}
             new_map[j] = node.pos_to_slot[i]
             new_node = Node(new_facet, new_table, new_seed, new_map)
-            _assert_position_map(complex_, new_node)
-            nodes[new_facet] = new_node
-            keys[new_facet] = cluster_key(new_seed)
-            queue.append(new_facet)
+        _assert_position_map(complex_, new_node)
+        nodes[new_facet] = new_node
+        keys[new_facet] = cluster_key(new_node.seed)
     if len(set(keys.values())) != len(nodes):
         raise InvariantViolation("two facets share a cluster")
     fam = _family_rank(cartan)
@@ -326,7 +316,7 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
 
 
 def _newton_polytope(F: FPolynomial) -> LatticePolytope:
-    return LatticePolytope(convex_hull_vertices(F.support()))
+    return LatticePolytope(F.support())
 
 
 def _weight_column_hull(corr: Correspondence, k: int) -> LatticePolytope:
@@ -336,7 +326,7 @@ def _weight_column_hull(corr: Correspondence, k: int) -> LatticePolytope:
     for node in _sorted_nodes(corr):
         points.add(weight_diff_to_root_coords(
             cartan, node.table.weights[k - 1], ag.weights[k - 1]))
-    return LatticePolytope(convex_hull_vertices(points))
+    return LatticePolytope(points)
 
 
 def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:
@@ -399,11 +389,10 @@ def check_minkowski_brick(cartan: CartanMatrix, c: Word) -> Report:
     summands = [_newton_polytope(f_polynomial(by_root[beta], n))
                 for beta in sorted(by_root)]
     total = minkowski_sum(summands)
-    in_weight = LatticePolytope(convex_hull_vertices(
-        [root_to_weight_coords(cartan, v) for v in total.vertices]))
-    bricks = LatticePolytope(convex_hull_vertices(
-        [brick_vector(complex_, node.facet, node.table)
-         for node in _sorted_nodes(corr)]))
+    in_weight = LatticePolytope(
+        [root_to_weight_coords(cartan, v) for v in total.vertices])
+    bricks = LatticePolytope([brick_vector(complex_, node.facet, node.table)
+                              for node in _sorted_nodes(corr)])
     shift = equal_up_to_translation(in_weight, bricks)
     ag = brick_vector(complex_, antigreedy_facet(complex_),
                       corr.nodes[antigreedy_facet(complex_)].table)

@@ -173,3 +173,11 @@ def test_w_catalan_goldens():
                 ("F", 4): 105, ("E", 6): 833, ("E", 7): 4160, ("E", 8): 25080}
     for (family, rank), value in expected.items():
         assert w_catalan(family, rank) == value
+
+
+@pytest.mark.parametrize("fn, family, rank", [
+    (cartan_of_type, "A", True), (w_catalan, "A", True),
+    (w_catalan, "E", 6.0), (degrees, "A", 2.0)])
+def test_rank_must_be_an_int(fn, family, rank):
+    with pytest.raises(InvalidCartanType):
+        fn(family, rank)

@@ -157,12 +157,17 @@ def test_roots_at_facet_positions_form_sign_coherent_columns():
 
 
 def test_pointwise_functions_match_table():
-    cx = build_complex(B2, (1, 2))
-    for facet in enumerate_facets(cx):
-        table = root_table(cx, facet)
-        for k in range(1, cx.m + 1):
-            assert weight_function(cx, facet, k) == table.weights[k - 1]
-            assert root_function(cx, facet, k) == table.roots[k - 1]
+    # in B and G the coroot row differs from the root row
+    for cartan, c in [(B2, (1, 2)), (cartan_of_type("G", 2), (2, 1)),
+                      (cartan_of_type("B", 3), (3, 1, 2))]:
+        cx = build_complex(cartan, c)
+        for facet in enumerate_facets(cx):
+            table = root_table(cx, facet)
+            for k in range(1, cx.m + 1):
+                assert weight_function(cx, facet, k) == table.weights[k - 1]
+                assert root_function(cx, facet, k) == table.roots[k - 1]
+                assert coroot_function(cx, facet, k) == table.coroots[k - 1]
+            assert table.coroots != table.roots
 
 
 def test_coroot_function_pairs_to_two():

@@ -1,11 +1,16 @@
 """Cross-checks between the facet walk and the mutation walk."""
 
+import dataclasses
+
 import pytest
 
+from clusterbrick import subword
+from clusterbrick.errors import InvariantViolation
 from clusterbrick.roots import CartanMatrix, cartan_of_type, w_catalan
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.cluster import cluster_key, initial_seed
-from clusterbrick.subword import greedy_facet
+from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
+                                  greedy_facet, root_table)
 from clusterbrick.verify import (Report, build_correspondence, check_names,
                                  check_typea_models, run_checks, type_label,
                                  variables_by_root)
@@ -88,6 +93,33 @@ def test_correspondence_walk():
             assert set(node.pos_to_slot) == set(facet)
             assert sorted(node.pos_to_slot.values()) == list(
                 range(1, cartan.n + 1))
+
+
+def test_correspondence_tables_match_direct_construction():
+    for cartan in (A3, cartan_of_type("B", 3), G2, cartan_of_type("D", 4)):
+        for c in coxeter_words(cartan):
+            corr = build_correspondence(cartan, c)
+            for facet, node in corr.nodes.items():
+                assert node.table == root_table(corr.complex_, facet)
+
+
+def test_walk_consumers_catch_table_drift(monkeypatch):
+    update = subword.update_after_flip
+
+    def corrupted(*args):
+        table = update(*args)
+        weights = (tuple(x + 1 for x in table.weights[0]),) + table.weights[1:]
+        return dataclasses.replace(table, weights=weights)
+
+    monkeypatch.setattr(subword, "update_after_flip", corrupted)
+    with pytest.raises(InvariantViolation, match="drifted"):
+        enumerate_facets_with_tables(build_complex(A2, (1, 2)))
+    build_correspondence.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="drifted"):
+            build_correspondence(A2, (1, 2))
+    finally:
+        build_correspondence.cache_clear()
 
 
 def test_variables_by_root_newton_golden():
