@@ -6,16 +6,17 @@ Everything is integer or Fraction arithmetic; no floats anywhere.
 
 from .cluster import (FPolynomial, MPoly, Seed, all_cluster_variables,
                       c_vector, c_vectors, cluster_key, d_vector,
-                      enumerate_seeds, exact_div, f_polynomial, format_fpoly,
-                      format_laurent, g_from_F, g_vector, initial_matrix,
-                      initial_seed, mutate, principal_part, tropical_add,
-                      variable_from_g_and_F, variable_names)
+                      enumerate_seeds, exact_div, exchange_binomial,
+                      f_polynomial, format_fpoly, format_laurent, g_from_F,
+                      g_vector, initial_matrix, initial_seed, mutate,
+                      principal_part, tropical_add, variable_from_g_and_F,
+                      variable_names)
 from .coxeter import (c_sorting_word, canonical_commutation_word, coxeter_words,
                       element_of_word, is_reduced, length, longest_element,
                       restricted_prefixes, word_action_root, word_action_weight)
 from .errors import (ClusterBrickError, DimensionMismatch, InexactDivision,
                      InvalidCartanMatrix, InvalidCartanType, InvariantViolation,
-                     NotInRootLattice)
+                     NotInRootLattice, ResourceLimit)
 from .polytope import (LatticePolytope, convex_hull_vertices,
                        equal_up_to_translation, minkowski_sum, translate)
 from .roots import (CartanMatrix, cartan_of_type, coroot_of_root,

@@ -1,6 +1,7 @@
 """Command line front end: construction, computation, verification, JSON.
 
-Exit codes: 0 success, 1 a verification check failed, 2 malformed input.
+Exit codes: 0 success, 1 a verification check failed, 2 malformed input,
+3 a resource limit was reached.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 from .cluster import (c_vector, d_vector, f_polynomial, format_fpoly,
                       format_laurent, g_vector)
-from .errors import ClusterBrickError
+from .errors import ClusterBrickError, ResourceLimit
 from .polytope import LatticePolytope
 from .roots import CartanMatrix, cartan_of_type, positive_roots, \
     weight_diff_to_root_coords
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ResourceLimit as err:
+        print(f"error: resource limit: {err}", file=sys.stderr)
+        return 3
     except (ClusterBrickError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -3,8 +3,24 @@
 A seed is an extended integer matrix (2n rows by n columns: exchange block on
 top, coefficient block below) together with n cluster variables.  Variables
 live in the Laurent ring Z[x1..xn, x1^-1..xn^-1, y1..yn], represented as
-integer-coefficient polynomials over exponent tuples of length 2n (x slots
-first, then y slots; x exponents may be negative).
+integer-coefficient polynomials in 2n variables (x slots first, then y
+slots; x exponents may be negative).
+
+Packed monomials.  `MPoly` stores each monomial as one Python int: the
+exponent e of variable t sits in a 16-bit field as e + 2**14, the first
+variable in the most significant field.  Every stored field lies in
+[0, 2**15), so the top bit of each field is a spare guard bit and no field
+ever carries into its neighbour; the integer order of two keys is then the
+lexicographic order of their exponent vectors, field by field from the
+first variable.  A product of monomials is k1 + k2 - bias and a quotient
+k1 - k2 + bias, where bias holds 2**14 in every field.  Exponents must lie
+in [-2**14, 2**14 - 1]: construction and every product check the exponent
+box against that range first, so a field never wraps, and raise
+ResourceLimit otherwise.  Each polynomial caches its exact exponent box
+(componentwise minimum and maximum), which products and exact quotients
+obtain from the boxes of their operands: Z is a domain, so the extreme
+terms of a product never cancel.  The packed format is private to this
+module; `MPoly.terms` gives the tuple-keyed view.
 
 Everything is integer or Fraction arithmetic; there is no floating point in
 this module.
@@ -12,26 +28,86 @@ this module.
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections import deque
 from dataclasses import dataclass
+from operator import add, sub
 
-from .errors import DimensionMismatch, InexactDivision, InvariantViolation
+from .errors import (DimensionMismatch, InexactDivision, InvariantViolation,
+                     ResourceLimit)
 from .polytope import convex_hull_vertices
 from .roots import CartanMatrix, Vec
+
+_WIDTH = 16
+_BIAS = 1 << (_WIDTH - 2)
+_MIN_EXP, _MAX_EXP = -_BIAS, _BIAS - 1
 
 
 def _pos(a: int) -> int:
     return a if a > 0 else 0
 
 
+class _Layout:
+    """Packing constants for one number of variables."""
+
+    __slots__ = ("struct", "nbytes", "bias", "guard")
+
+    def __init__(self, nvars: int):
+        self.struct = struct.Struct(f">{nvars}H")
+        self.nbytes = self.struct.size
+        ones = sum(1 << (_WIDTH * t) for t in range(nvars))
+        self.bias = _BIAS * ones
+        self.guard = (1 << (_WIDTH - 1)) * ones
+
+    def pack(self, exponents) -> int:
+        return int.from_bytes(
+            self.struct.pack(*[e + _BIAS for e in exponents]), "big")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(f - _BIAS for f in
+                     self.struct.unpack(key.to_bytes(self.nbytes, "big")))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(nvars: int) -> _Layout:
+    return _Layout(nvars)
+
+
+def _box_of(exponents) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Componentwise minimum and maximum of nonempty exponent tuples."""
+    cols = tuple(zip(*exponents))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+def _check_range(lo, hi) -> None:
+    if min(lo, default=0) < _MIN_EXP or max(hi, default=0) > _MAX_EXP:
+        raise ResourceLimit(
+            f"exponent outside the representable range [{_MIN_EXP}, {_MAX_EXP}]")
+
+
 class MPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_t", "_lo", "_hi")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int]):
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        terms = {e: c for e, c in terms.items() if c != 0}
+        if any(len(e) != nvars for e in terms):
+            raise DimensionMismatch(f"exponent tuple of the wrong length, expected {nvars}")
+        self.nvars, self._lo, self._hi = nvars, None, None
+        if terms:
+            self._lo, self._hi = _box_of(terms)
+            _check_range(self._lo, self._hi)
+        pack = _layout(nvars).pack
+        self._t = {pack(e): c for e, c in terms.items()}
+
+    @classmethod
+    def _make(cls, nvars: int, packed: dict[int, int], lo=None, hi=None) -> "MPoly":
+        """Wrap packed terms; lo and hi, when given, must be their exact box."""
+        out = object.__new__(cls)
+        out.nvars, out._t, out._lo, out._hi = nvars, packed, lo, hi
+        return out
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "MPoly":
@@ -42,10 +118,27 @@ class MPoly:
         e = tuple(exponents)
         if len(e) != nvars:
             raise DimensionMismatch(f"exponent tuple of length {len(e)}, expected {nvars}")
-        return cls(nvars, {e: coeff})
+        if coeff == 0:
+            return cls._make(nvars, {})
+        _check_range(e, e)
+        return cls._make(nvars, {_layout(nvars).pack(e): coeff}, e, e)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The terms keyed by exponent tuples, built on each access."""
+        unpack = _layout(self.nvars).unpack
+        return {unpack(k): c for k, c in self._t.items()}
+
+    def _box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Componentwise minimum and maximum exponents of a nonzero polynomial."""
+        if self._lo is None:
+            if not self._t:
+                raise ValueError("exponent box of zero")
+            self._lo, self._hi = _box_of(self.terms)
+        return self._lo, self._hi
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def _check(self, other: "MPoly") -> None:
         if self.nvars != other.nvars:
@@ -53,41 +146,73 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(self.nvars, out)
+        if not other._t:
+            return self
+        if not self._t:
+            return other
+        out = dict(self._t)
+        cancelled = False
+        for k, c in other._t.items():
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+                cancelled = True
+        if cancelled:
+            return MPoly._make(self.nvars, out)
+        (lo1, hi1), (lo2, hi2) = self._box(), other._box()
+        return MPoly._make(self.nvars, out, tuple(map(min, lo1, lo2)),
+                           tuple(map(max, hi1, hi2)))
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.nvars, {k: -c for k, c in self._t.items()},
+                           self._lo, self._hi)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly(self.nvars, out)
+        nv = self.nvars
+        if not self._t or not other._t:
+            return MPoly._make(nv, {})
+        (lo1, hi1), (lo2, hi2) = self._box(), other._box()
+        lo, hi = tuple(map(add, lo1, lo2)), tuple(map(add, hi1, hi2))
+        _check_range(lo, hi)
+        bias = _layout(nv).bias
+        small, large = sorted((self._t, other._t), key=len)
+        if len(small) == 1:
+            (k1, c1), = small.items()
+            base = k1 - bias
+            return MPoly._make(nv, {base + k: c1 * c for k, c in large.items()},
+                               lo, hi)
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in small.items():
+            base = k1 - bias
+            for k2, c2 in large.items():
+                k = base + k2
+                out[k] = get(k, 0) + c1 * c2
+        return MPoly._make(nv, {k: c for k, c in out.items() if c}, lo, hi)
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MPoly.constant(self.nvars, 1)
-        for _ in range(k):
+        if k == 0:
+            return MPoly.constant(self.nvars, 1)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._t.items())))
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {self.terms})"
@@ -96,45 +221,56 @@ class MPoly:
 def exact_div(num: MPoly, den: MPoly) -> MPoly:
     """The quotient q with q * den == num, when it exists in the Laurent ring.
 
-    Long division by the lex-leading term of den.  Exponents of any true
-    quotient are confined to the box whose corner coordinates are the
-    componentwise extremes of num minus those of den (Newton polytopes add
+    Long division by the lex-leading term of den.  A true quotient has
+    exactly the exponent box of num minus that of den (Newton polytopes add
     under multiplication), so a candidate quotient term outside that box, a
     leading coefficient that fails to divide, or a nonzero remainder all
-    certify that no exact quotient exists.
+    certify that no exact quotient exists.  A candidate lies in the box
+    exactly when the leading monomial of the remainder lies in the box
+    shifted by the leading monomial of den; with every field below the
+    guard bit, one subtraction per bound compares all fields at once.
     """
     num._check(den)
     if den.is_zero():
         raise InexactDivision("division by zero polynomial")
-    if num.is_zero():
-        return MPoly(num.nvars, {})
     nv = num.nvars
-    lo = tuple(min(e[t] for e in num.terms) - min(e[t] for e in den.terms)
-               for t in range(nv))
-    hi = tuple(max(e[t] for e in num.terms) - max(e[t] for e in den.terms)
-               for t in range(nv))
-    den_lead = max(den.terms)
-    den_lc = den.terms[den_lead]
-    rem = dict(num.terms)
-    quo: dict[tuple[int, ...], int] = {}
+    if num.is_zero():
+        return MPoly._make(nv, {})
+    (nlo, nhi), (dlo, dhi) = num._box(), den._box()
+    lo, hi = tuple(map(sub, nlo, dlo)), tuple(map(sub, nhi, dhi))
+    if any(a > b for a, b in zip(lo, hi)):
+        raise InexactDivision("quotient would leave the exponent box")
+    _check_range(lo, hi)
+    layout = _layout(nv)
+    guard = layout.guard
+    den_lead = max(den._t)
+    den_lc = den._t[den_lead]
+    lead_exp = layout.unpack(den_lead)
+    floor = layout.pack(map(add, lo, lead_exp))
+    ceiling = layout.pack(map(add, hi, lead_exp)) | guard
+    to_quotient = layout.bias - den_lead
+    den_terms = [(k - layout.bias, c) for k, c in den._t.items()]
+    rem = dict(num._t)
+    quo: dict[int, int] = {}
     while rem:
         lead = max(rem)
-        lc = rem[lead]
-        q_exp = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(q < a or q > b for q, a, b in zip(q_exp, lo, hi)):
+        if ((lead | guard) - floor) & guard != guard \
+                or (ceiling - lead) & guard != guard:
             raise InexactDivision("quotient would leave the exponent box")
-        if lc % den_lc != 0:
+        lc = rem[lead]
+        q_c, r = divmod(lc, den_lc)
+        if r:
             raise InexactDivision(f"coefficient {lc} not divisible by {den_lc}")
-        q_c = lc // den_lc
-        quo[q_exp] = quo.get(q_exp, 0) + q_c
-        for e, c in den.terms.items():
-            key = tuple(a + b for a, b in zip(q_exp, e))
+        q = lead + to_quotient
+        quo[q] = q_c
+        for k, c in den_terms:
+            key = q + k
             val = rem.get(key, 0) - q_c * c
             if val:
                 rem[key] = val
             else:
-                rem.pop(key, None)
-    return MPoly(nv, quo)
+                del rem[key]
+    return MPoly._make(nv, quo, lo, hi)
 
 
 class FPolynomial:
@@ -239,18 +375,38 @@ def initial_seed(cartan: CartanMatrix, c) -> Seed:
     return Seed(initial_matrix(cartan, c), variables, frozen)
 
 
-def mutate(seed: Seed, i: int) -> Seed:
-    """Mutation of the seed at slot i (1-based).
+def exchange_binomial(seed: Seed, i: int) -> MPoly:
+    """The product of the variable at slot i (1-based) and its mutation.
 
-    The matrix follows the usual four-case rule on all 2n rows.  The new
-    variable is the exchange binomial divided exactly by the old variable,
-    with the coefficient monomials split off the stored frozen vector f_i:
-    the normalization f_i/(f_i (+) 1) and 1/(f_i (+) 1) are the monomials
-    y^(f_i - min(f_i,0)) and y^(-min(f_i,0)).
+    The two monomials of the exchange relation, with the coefficient
+    monomials split off the stored frozen vector f_i: the normalizations
+    f_i/(f_i (+) 1) and 1/(f_i (+) 1) are the monomials y^(f_i - min(f_i,0))
+    and y^(-min(f_i,0)).
     """
     n = seed.n
     if not 1 <= i <= n:
         raise ValueError(f"slot {i} out of range 1..{n}")
+    f_i = seed.frozen[i - 1]
+    floor = tropical_add(f_i, (0,) * n)
+    plus = MPoly.monomial(2 * n, (0,) * n + tuple(a - b for a, b in zip(f_i, floor)))
+    minus = MPoly.monomial(2 * n, (0,) * n + tuple(-b for b in floor))
+    for k in range(n):
+        b = seed.matrix[k][i - 1]
+        if b > 0:
+            plus = plus * seed.variables[k] ** b
+        elif b < 0:
+            minus = minus * seed.variables[k] ** (-b)
+    return plus + minus
+
+
+def mutate(seed: Seed, i: int) -> Seed:
+    """Mutation of the seed at slot i (1-based).
+
+    The matrix follows the usual four-case rule on all 2n rows.  The new
+    variable is the exchange binomial divided exactly by the old variable.
+    """
+    new_var = exact_div(exchange_binomial(seed, i), seed.variables[i - 1])
+    n = seed.n
     col = tuple(seed.matrix[k][i - 1] for k in range(2 * n))
     new_rows = []
     for k in range(2 * n):
@@ -263,17 +419,9 @@ def mutate(seed: Seed, i: int) -> Seed:
                 row.append(b + _pos(col[k]) * _pos(seed.matrix[i - 1][lo])
                            - _pos(-col[k]) * _pos(-seed.matrix[i - 1][lo]))
         new_rows.append(tuple(row))
+    variables = tuple(new_var if k == i - 1 else seed.variables[k] for k in range(n))
     f_i = seed.frozen[i - 1]
     floor = tropical_add(f_i, (0,) * n)
-    plus = MPoly.monomial(2 * n, (0,) * n + tuple(a - b for a, b in zip(f_i, floor)))
-    minus = MPoly.monomial(2 * n, (0,) * n + tuple(-b for b in floor))
-    for k in range(n):
-        if col[k] > 0:
-            plus = plus * seed.variables[k] ** col[k]
-        elif col[k] < 0:
-            minus = minus * seed.variables[k] ** (-col[k])
-    new_var = exact_div(plus + minus, seed.variables[i - 1])
-    variables = tuple(new_var if k == i - 1 else seed.variables[k] for k in range(n))
     new_frozen = []
     for lo in range(n):
         if lo == i - 1:
@@ -306,7 +454,13 @@ def d_vector(p: MPoly, n: int) -> Vec:
     """Negated componentwise minimum of the x exponents."""
     if p.is_zero():
         raise ValueError("d-vector of zero")
-    return tuple(-min(e[t] for e in p.terms) for t in range(n))
+    return tuple(-a for a in p._box()[0][:n])
+
+
+def _low_fields(nvars: int, n: int) -> tuple[int, int]:
+    """Mask of the fields after the first n, and their value at exponent 0."""
+    low = nvars - n
+    return (1 << (_WIDTH * low)) - 1, _layout(low).bias
 
 
 def g_vector(p: MPoly, n: int) -> Vec:
@@ -314,22 +468,25 @@ def g_vector(p: MPoly, n: int) -> Vec:
 
     Read in fundamental-weight coordinates.
     """
-    survivors = {e: c for e, c in p.terms.items() if all(a == 0 for a in e[n:])}
+    mask, zero = _low_fields(p.nvars, n)
+    survivors = [(k, c) for k, c in p._t.items() if k & mask == zero]
     if len(survivors) != 1:
         raise InvariantViolation(f"{len(survivors)} monomials survive at y=0")
-    (exp, coeff), = survivors.items()
+    (key, coeff), = survivors
     if coeff != 1:
         raise InvariantViolation(f"y=0 monomial has coefficient {coeff}")
-    return exp[:n]
+    return _layout(p.nvars).unpack(key)[:n]
 
 
 def f_polynomial(p: MPoly, n: int) -> FPolynomial:
     """Specialization x1 = .. = xn = 1, collected by y exponents."""
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in p.terms.items():
-        key = e[n:]
-        out[key] = out.get(key, 0) + c
-    return FPolynomial(n, out)
+    mask, _ = _low_fields(p.nvars, n)
+    collected: dict[int, int] = {}
+    for k, c in p._t.items():
+        y = k & mask
+        collected[y] = collected.get(y, 0) + c
+    unpack = _layout(p.nvars - n).unpack
+    return FPolynomial(n, {unpack(y): c for y, c in collected.items()})
 
 
 def variable_from_g_and_F(cartan: CartanMatrix, c, g: Vec, F: FPolynomial) -> MPoly:
@@ -371,7 +528,7 @@ def g_from_F(cartan: CartanMatrix, c, F: FPolynomial, dvec: Vec) -> Vec:
 
 def cluster_key(seed: Seed) -> frozenset:
     """Unordered fingerprint of the cluster (the variable set)."""
-    return frozenset((p.nvars, frozenset(p.terms.items())) for p in seed.variables)
+    return frozenset((p.nvars, frozenset(p._t.items())) for p in seed.variables)
 
 
 def enumerate_seeds(cartan: CartanMatrix, c, cap: int = 100000) -> tuple[Seed, ...]:

@@ -27,3 +27,11 @@ class InvariantViolation(ClusterBrickError):
 
 class DimensionMismatch(ClusterBrickError):
     """Operands live in different ambient dimensions."""
+
+
+class ResourceLimit(ClusterBrickError):
+    """A computation would exceed a fixed size limit of the engine.
+
+    Not a ValueError: the input is well formed, but too large for the
+    engine as built.
+    """

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ResourceLimit
 
 Point = tuple[int, ...]
 
@@ -158,7 +158,7 @@ class LatticePolytope:
         for a, b in zip(lo, hi):
             box *= b - a + 1
         if box > cap:
-            raise ValueError(f"bounding box has {box} points, over the cap {cap}")
+            raise ResourceLimit(f"bounding box has {box} points, over the cap {cap}")
         out = []
         for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             if self.contains(p):

@@ -100,10 +100,20 @@ def _validate_cartan(rows: tuple[tuple[int, ...], ...]) -> None:
     sym = [[int(d[s] * scale) * rows[s][t] for t in range(n)] for s in range(n)]
     if any(sym[s][t] != sym[t][s] for s in range(n) for t in range(s)):
         raise InvalidCartanMatrix("matrix is not symmetrizable")
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in sym[:k]]
-        if det_adjugate(minor)[0] <= 0:
+    # Fraction-free elimination without row swaps: by Sylvester's identity
+    # the k-th pivot is the k-th leading principal minor (Bareiss 1968).
+    prev = 1
+    for k in range(n):
+        p = sym[k][k]
+        if p <= 0:
             raise InvalidCartanMatrix("symmetrization is not positive definite (not finite type)")
+        top = sym[k]
+        for r in range(k + 1, n):
+            row = sym[r]
+            f = row[k]
+            sym[r] = row[:k + 1] + [(p * x - f * y) // prev
+                                    for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = p
 
 
 def _symmetrizer(rows: tuple[tuple[int, ...], ...]) -> list[Fraction]:

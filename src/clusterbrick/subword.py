@@ -37,7 +37,6 @@ from .errors import InvariantViolation
 from .roots import (
     CartanMatrix,
     Vec,
-    pair,
     positive_roots,
     root_to_weight_coords,
     transpose,
@@ -241,21 +240,27 @@ def update_after_flip(complex_: ClusterComplex, facet: Facet, i: int,
     positions (inclusive on the far side) are reflected along the root at i,
     all other entries are copied."""
     cartan = complex_.cartan
+    n = cartan.n
     beta = table.roots[i - 1]
     beta_co = table.coroots[i - 1]
+    # <x, beta_co> = x . (A^T beta_co) and <beta, y> = y . (A beta)
     beta_w = root_to_weight_coords(cartan, beta)
+    beta_co_w = tuple(sum(beta_co[s] * cartan.rows[s][t] for s in range(n))
+                      for t in range(n))
     lo, hi = min(i, j), max(i, j)
     roots = list(table.roots)
     weights = list(table.weights)
     coroots = list(table.coroots)
     for k in range(lo + 1, hi + 1):
         x = roots[k - 1]
-        roots[k - 1] = tuple(a - pair(cartan, x, beta_co) * b for a, b in zip(x, beta))
+        coef = sum(a * b for a, b in zip(x, beta_co_w))
+        roots[k - 1] = tuple(a - coef * b for a, b in zip(x, beta))
         w = weights[k - 1]
         coef = sum(a * b for a, b in zip(w, beta_co))
         weights[k - 1] = tuple(a - coef * b for a, b in zip(w, beta_w))
         y = coroots[k - 1]
-        coroots[k - 1] = tuple(a - pair(cartan, beta, y) * b for a, b in zip(y, beta_co))
+        coef = sum(a * b for a, b in zip(y, beta_w))
+        coroots[k - 1] = tuple(a - coef * b for a, b in zip(y, beta_co))
     return RootTable(tuple(new_facet), tuple(roots), tuple(weights), tuple(coroots))
 
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cluster import (FPolynomial, MPoly, Seed, c_vector, cluster_key,
-                      d_vector, f_polynomial, g_vector, initial_seed, mutate,
-                      principal_part)
+                      d_vector, exchange_binomial, f_polynomial, g_vector,
+                      initial_seed, mutate, principal_part)
 from .coxeter import Word, coxeter_words, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
-from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows, pair,
+from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
                     reflect_weight, root_to_weight_coords, w_catalan,
                     weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
@@ -93,6 +93,28 @@ def _assert_position_map(complex_: ClusterComplex, node: Node) -> None:
                 f"{dv}, expected {complex_.pos_root[i - 1]}")
 
 
+def _assert_same_cluster(node: Node, slot: int, known: Node, j: int) -> None:
+    """Mutating `node` at `slot` must give the cluster of `known`, whose
+    position j holds the new variable.
+
+    The mutation replaces x_slot by the variable v with v * x_slot equal to
+    the exchange binomial, so the known variable at j must satisfy that
+    product (the Laurent ring is a domain, so multiplying decides exactly
+    what dividing would), and every other position must carry the same
+    variable in both clusters.
+    """
+    v = known.seed.variables[known.pos_to_slot[j] - 1]
+    same = v * node.seed.variables[slot - 1] == exchange_binomial(node.seed, slot)
+    same = same and all(
+        known.seed.variables[known.pos_to_slot[k] - 1]
+        == node.seed.variables[node.pos_to_slot[k] - 1]
+        for k in known.facet if k != j)
+    if not same:
+        raise InvariantViolation(
+            f"walk desynchronized at facet {known.facet}: two paths give "
+            "different clusters")
+
+
 @lru_cache(maxsize=None)
 def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     """Seeds mutated in lockstep with the facet flips of `walk_flips`.
@@ -101,8 +123,9 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     slot holding the variable of position i; the map position -> slot is
     carried along and re-verified at every vertex through the bijection
     between d-vectors and the almost positive roots attached to positions.
-    Every flip into a facet found earlier mutates too, and must reproduce
-    that facet's cluster: the result does not depend on the path.
+    A flip into a new facet mutates; every flip into a facet found earlier
+    checks the exchange relation against that facet's cluster instead, so
+    the result does not depend on the path.
     """
     complex_ = build_complex(cartan, c)
     n = complex_.n
@@ -114,16 +137,13 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
                             {k: c[k - 1] for k in range(1, n + 1)})
         else:
             node = nodes[facet]
-            new_seed = mutate(node.seed, node.pos_to_slot[i])
+            slot = node.pos_to_slot[i]
             if new_table is None:
-                if cluster_key(new_seed) != keys[new_facet]:
-                    raise InvariantViolation(
-                        f"walk desynchronized at facet {new_facet}: two paths "
-                        "give different clusters")
+                _assert_same_cluster(node, slot, nodes[new_facet], j)
                 continue
             new_map = {k: s for k, s in node.pos_to_slot.items() if k != i}
-            new_map[j] = node.pos_to_slot[i]
-            new_node = Node(new_facet, new_table, new_seed, new_map)
+            new_map[j] = slot
+            new_node = Node(new_facet, new_table, mutate(node.seed, slot), new_map)
         _assert_position_map(complex_, new_node)
         nodes[new_facet] = new_node
         keys[new_facet] = cluster_key(new_node.seed)
@@ -232,17 +252,19 @@ def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
     at j against the coroot at i, negated when i < j."""
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
-    n = corr.complex_.n
     for node in _sorted_nodes(corr):
         bpr = principal_part(node.seed.matrix)
+        # <root, coroot> is the coroot dotted with the root's weight image
+        images = {j: root_to_weight_coords(cartan, node.table.roots[j - 1])
+                  for j in node.facet}
         for i in node.facet:
+            coroot = node.table.coroots[i - 1]
             for j in node.facet:
                 s, t = node.pos_to_slot[i], node.pos_to_slot[j]
                 if i == j:
                     expected = 0
                 else:
-                    value = pair(cartan, node.table.roots[j - 1],
-                                 node.table.coroots[i - 1])
+                    value = sum(a * b for a, b in zip(coroot, images[j]))
                     expected = -value if i < j else value
                 if bpr[s - 1][t - 1] != expected:
                     return _report("exchange", cartan, c, started, {

@@ -3,7 +3,9 @@
 The tracer wraps package functions by module and attribute name and calls
 `run_checks` positionally, so a rename or signature change in the package
 would silently break traced benchmark runs; these tests catch it instead.
-The tracer file is loaded by path and only read.
+The tracer also sizes results through `.terms` (of MPoly and FPolynomial)
+and counts mutations as calls to `mutate`.  The tracer file is loaded by
+path and only read.
 """
 
 import dataclasses
@@ -11,9 +13,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from clusterbrick.roots import cartan_of_type
+from clusterbrick import verify
+from clusterbrick.cluster import f_polynomial
+from clusterbrick.roots import cartan_of_type, w_catalan
 from clusterbrick.subword import RootTable
-from clusterbrick.verify import run_checks
+from clusterbrick.verify import build_correspondence, run_checks, variables_by_root
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +44,33 @@ def test_root_table_is_a_dataclass():
 def test_run_checks_takes_jobs_positionally():
     reports = run_checks(cartan_of_type("A", 2), (1, 2), ("c-vectors",), 1)
     assert [(r.name, r.passed) for r in reports] == [("c-vectors", True)]
+
+
+def test_polynomial_terms_are_keyed_by_exponent_tuples():
+    """The tracer counts `len(v.terms)` per cluster variable, and the
+    benchmark's digest reads `FPolynomial.terms` keys as tuples."""
+    A3 = cartan_of_type("A", 3)
+    for v in variables_by_root(A3, (1, 2, 3)).values():
+        assert isinstance(v.terms, dict)
+        assert all(isinstance(e, tuple) and len(e) == v.nvars for e in v.terms)
+        F = f_polynomial(v, 3)
+        assert all(isinstance(e, tuple) and len(e) == 3 for e in F.terms)
+
+
+def test_correspondence_mutates_once_per_new_facet(monkeypatch):
+    A3 = cartan_of_type("A", 3)
+    calls = []
+    mutate = verify.mutate
+
+    def counting(seed, i):
+        calls.append(i)
+        return mutate(seed, i)
+
+    monkeypatch.setattr(verify, "mutate", counting)
+    build_correspondence.cache_clear()
+    try:
+        corr = build_correspondence(A3, (1, 2, 3))
+    finally:
+        build_correspondence.cache_clear()
+    assert len(corr.nodes) == w_catalan("A", 3) == 14
+    assert len(calls) == 13

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from clusterbrick.cli import _jsonable, main, root_string
+from clusterbrick.polytope import LatticePolytope
 
 
 def run(capsys, *argv):
@@ -108,6 +109,15 @@ def test_jobs_below_one_is_rejected(capsys, jobs):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --jobs" in err
+
+
+def test_resource_limit_exits_3(monkeypatch, capsys):
+    lattice_points = LatticePolytope.lattice_points
+    monkeypatch.setattr(LatticePolytope, "lattice_points",
+                        lambda self, cap=1: lattice_points(self, cap))
+    code, out, err = run(capsys, "verify", "--type", "A2", "--checks", "lattice")
+    assert code == 3
+    assert err.startswith("error: resource limit: bounding box has")
 
 
 def test_emit_json_round_trip(tmp_path, capsys):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from clusterbrick.errors import DimensionMismatch
+from clusterbrick.errors import DimensionMismatch, ResourceLimit
 from clusterbrick.polytope import (LatticePolytope, convex_hull_vertices,
                                    equal_up_to_translation, minkowski_sum,
                                    translate)
@@ -50,6 +50,8 @@ def test_lattice_points():
     segment = LatticePolytope([(0, 0, 0), (0, 3, 0)])
     assert segment.lattice_points() == (
         (0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0))
+    with pytest.raises(ResourceLimit, match="over the cap 1"):
+        segment.lattice_points(cap=1)
 
 
 def test_vertex_count_of_cross_polygon():

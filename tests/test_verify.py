@@ -4,11 +4,11 @@ import dataclasses
 
 import pytest
 
-from clusterbrick import subword
+from clusterbrick import subword, verify
 from clusterbrick.errors import InvariantViolation
 from clusterbrick.roots import CartanMatrix, cartan_of_type, w_catalan
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import cluster_key, initial_seed
+from clusterbrick.cluster import MPoly, cluster_key, initial_seed
 from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
                                   greedy_facet, root_table)
 from clusterbrick.verify import (Report, build_correspondence, check_names,
@@ -117,6 +117,23 @@ def test_walk_consumers_catch_table_drift(monkeypatch):
     build_correspondence.cache_clear()
     try:
         with pytest.raises(InvariantViolation, match="drifted"):
+            build_correspondence(A2, (1, 2))
+    finally:
+        build_correspondence.cache_clear()
+
+
+def test_correspondence_catches_a_wrong_exchange_binomial(monkeypatch):
+    """Edges into known facets are checked by multiplying out the exchange
+    relation; a binomial off by one monomial must not pass."""
+    binomial = verify.exchange_binomial
+
+    def corrupted(seed, i):
+        return binomial(seed, i) + MPoly.monomial(2 * seed.n, (0,) * (2 * seed.n))
+
+    monkeypatch.setattr(verify, "exchange_binomial", corrupted)
+    build_correspondence.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="desynchronized"):
             build_correspondence(A2, (1, 2))
     finally:
         build_correspondence.cache_clear()
