@@ -1,19 +1,32 @@
-"""Exact lattice polytope arithmetic over the rationals.
+"""Exact lattice polytope arithmetic over the integers.
 
 Polytopes are stored as their vertex sets (integer coordinates).  Membership
-and extremality are decided with a phase-one simplex over Fraction, so every
-answer is exact.  Nothing here knows about root systems; the polytopes fed in
-are Newton polytopes and brick polytopes, but any integer point set works.
+and extremality are decided with a fraction-free phase-one simplex over
+plain int, so every answer is exact.  Coordinates must be `int` (bools and
+every other number type are rejected), since the integer pivots are exact
+only on integer input.  Nothing here knows about root systems; the polytopes
+fed in are Newton polytopes and brick polytopes, but any integer point set
+works.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .errors import DimensionMismatch, ResourceLimit
 
 Point = tuple[int, ...]
+
+
+def _integer_point(point) -> Point:
+    """`point` as a tuple, or TypeError naming it when a coordinate is not
+    an int."""
+    point = tuple(point)
+    for x in point:
+        if type(x) is not int:
+            raise TypeError(
+                f"point {point!r} has the non-integer coordinate {x!r}")
+    return point
 
 
 def _in_convex_hull(point, generators) -> bool:
@@ -22,67 +35,76 @@ def _in_convex_hull(point, generators) -> bool:
     Solves the phase-one LP: minimize the sum of artificial variables in
       sum_i lam_i g_i = p,  sum_i lam_i = 1,  lam >= 0.
     Feasible with optimum zero iff the point is in the hull.
+
+    The tableau is fraction free (Bareiss; Avis, lrs): it holds integers
+    with one common denominator d > 0, so the true entries are T / d.  A
+    pivot on p = T[pr][pc] keeps the pivot row and sets every other row,
+    the objective included, to (x * p - f * y) // d, where f is the row's
+    entry in the pivot column; Sylvester's identity makes the division
+    exact.  Then d becomes p.  Bland's rule picks the same pivots as over
+    the rationals.  The artificial columns are never read, so they are not
+    stored; the artificial of row r has basis index cols + r.
     """
     if not generators:
         return False
     dim = len(point)
     rows = dim + 1
     cols = len(generators)
-    # tableau columns: lam_1..lam_k, artificials a_1..a_rows, rhs
+    # tableau rows: lam_1..lam_k, rhs; the last row is sum lam = 1
     tab = []
-    for r in range(rows):
-        if r < dim:
-            coeffs = [Fraction(g[r]) for g in generators]
-            rhs = Fraction(point[r])
-        else:
-            coeffs = [Fraction(1)] * cols
-            rhs = Fraction(1)
-        if rhs < 0:
-            coeffs = [-x for x in coeffs]
-            rhs = -rhs
-        art = [Fraction(1) if i == r else Fraction(0) for i in range(rows)]
-        tab.append(coeffs + art + [rhs])
+    for r in range(dim):
+        row = [g[r] for g in generators]
+        row.append(point[r])
+        if point[r] < 0:
+            row = [-x for x in row]
+        tab.append(row)
+    tab.append([1] * (cols + 1))
     # objective: sum of artificials, expressed in terms of non-basic columns.
     # The basic artificials have reduced cost zero, so only the lam columns
     # and the value cell pick up the row sums.
-    obj = [Fraction(0)] * (cols + rows) + [Fraction(0)]
-    for r in range(rows):
-        for j in range(cols):
-            obj[j] -= tab[r][j]
-        obj[-1] -= tab[r][-1]
+    obj = [-sum(col) for col in zip(*tab)]
     basis = [cols + r for r in range(rows)]
+    d = 1
     while True:
         # Bland's rule, and artificials never re-enter the basis.
-        pivot_col = -1
+        pc = -1
         for j in range(cols):
             if obj[j] < 0:
-                pivot_col = j
+                pc = j
                 break
-        if pivot_col < 0:
+        if pc < 0:
             break
-        pivot_row = -1
-        best = None
+        # least ratio rhs / a over a > 0, compared by cross-multiplying;
+        # ties go to the least basis index
+        pr = -1
         for r in range(rows):
-            a = tab[r][pivot_col]
+            a = tab[r][pc]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = r
-        if pivot_row < 0:
+                if pr < 0:
+                    pr = r
+                    continue
+                lhs = tab[r][-1] * tab[pr][pc]
+                rhs = tab[pr][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[pr]):
+                    pr = r
+        if pr < 0:
             # unbounded phase-one cannot happen: objective is bounded below by 0
             return False
-        piv = tab[pivot_row][pivot_col]
-        tab[pivot_row] = [x / piv for x in tab[pivot_row]]
+        prow = tab[pr]
+        p = prow[pc]
         for r in range(rows):
-            if r != pivot_row and tab[r][pivot_col] != 0:
-                f = tab[r][pivot_col]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[pivot_row])]
-        if obj[pivot_col] != 0:
-            f = obj[pivot_col]
-            obj = [x - f * y for x, y in zip(obj, tab[pivot_row])]
-        basis[pivot_row] = pivot_col
-    return -obj[-1] == 0
+            if r != pr:
+                row = tab[r]
+                f = row[pc]
+                if f:
+                    tab[r] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    tab[r] = [x * p // d for x in row]
+        f = obj[pc]
+        obj = [(x * p - f * y) // d for x, y in zip(obj, prow)]
+        d = p
+        basis[pr] = pc
+    return obj[-1] == 0
 
 
 def convex_hull_vertices(points) -> tuple[Point, ...]:
@@ -90,9 +112,10 @@ def convex_hull_vertices(points) -> tuple[Point, ...]:
 
     A point is kept iff it is outside the hull of the others.  Points proven
     interior are dropped from later hull tests, which keeps the LP sizes
-    shrinking as the scan proceeds.
+    shrinking as the scan proceeds.  A coordinate that is not an int raises
+    TypeError.
     """
-    pts = sorted(set(tuple(p) for p in points))
+    pts = sorted(set(_integer_point(p) for p in points))
     if len(pts) <= 1:
         return tuple(pts)
     dims = {len(p) for p in pts}
@@ -134,7 +157,9 @@ class LatticePolytope:
         return f"LatticePolytope({list(self.vertices)})"
 
     def contains(self, point) -> bool:
-        point = tuple(point)
+        """Whether `point` lies in the polytope; a coordinate that is not an
+        int raises TypeError."""
+        point = _integer_point(point)
         if not self.vertices:
             return False
         if len(point) != self.dim_ambient:

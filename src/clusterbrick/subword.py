@@ -15,6 +15,7 @@ from scratch; facet enumeration here and the lockstep correspondence in
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -187,25 +188,60 @@ def _entry(complex_: ClusterComplex, facet: Facet, k: int, action,
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
-    """Direct construction of all three rows in one left-to-right sweep."""
-    cartan = complex_.cartan
-    n = cartan.n
+    """Direct construction of all three rows in one left-to-right sweep.
+
+    Each prefix product is carried as its list of columns: the entry at
+    position k is column q of the prefix before k, where q is the letter at
+    k, and a complement letter rewrites only the columns its reflection
+    moves.
+    """
+    n = complex_.n
     chosen = set(facet)
-    r_mats = reflection_matrices(cartan)
-    w_mats = weight_reflection_matrices(cartan)
-    rc_mats = reflection_matrices(transpose(cartan))
-    p_r = p_w = p_rc = identity_matrix(n)
-    roots, weights, coroots = [], [], []
+    updates = _column_updates(complex_.cartan)
+    unit_cols = [tuple(1 if t == c else 0 for t in range(n)) for c in range(n)]
+    prefixes = (list(unit_cols), list(unit_cols), list(unit_cols))
+    rows = ([], [], [])
     for k, q in enumerate(complex_.word, start=1):
-        unit = tuple(1 if t == q - 1 else 0 for t in range(n))
-        roots.append(apply_matrix(p_r, unit))
-        weights.append(apply_matrix(p_w, unit))
-        coroots.append(apply_matrix(p_rc, unit))
+        for cols, row in zip(prefixes, rows):
+            row.append(cols[q - 1])
         if k not in chosen:
-            p_r = mat_mul(p_r, r_mats[q - 1])
-            p_w = mat_mul(p_w, w_mats[q - 1])
-            p_rc = mat_mul(p_rc, rc_mats[q - 1])
+            for cols, per_letter in zip(prefixes, updates):
+                # every moved column is read from the old columns
+                moved = [(c, _combine(cols, terms)) for c, terms in per_letter[q - 1]]
+                for c, col in moved:
+                    cols[c] = col
+    roots, weights, coroots = rows
     return RootTable(tuple(facet), tuple(roots), tuple(weights), tuple(coroots))
+
+
+def _combine(cols: list, terms) -> Vec:
+    """The sum of coef * cols[t] over the (t, coef) of `terms`."""
+    (t, coef), *rest = terms
+    acc = [coef * x for x in cols[t]]
+    for t, coef in rest:
+        acc = [a + coef * x for a, x in zip(acc, cols[t])]
+    return tuple(acc)
+
+
+@functools.lru_cache(maxsize=None)
+def _column_updates(cartan: CartanMatrix) -> tuple:
+    """How right multiplication by each simple reflection rewrites the
+    columns of a matrix, for the root, weight and coroot representations.
+
+    Entry [rep][s - 1] lists (c, ((t, coef), ...)): new column c is the sum
+    of coef times old column t.  A reflection differs from the identity by
+    a rank-one matrix, so only a few columns are listed.
+    """
+    out = []
+    for mats in (reflection_matrices(cartan), weight_reflection_matrices(cartan),
+                 reflection_matrices(transpose(cartan))):
+        n = len(mats[0])
+        out.append(tuple(
+            tuple((c, tuple((t, m[t][c]) for t in range(n) if m[t][c]))
+                  for c in range(n)
+                  if any(m[t][c] != (t == c) for t in range(n)))
+            for m in mats))
+    return tuple(out)
 
 
 def flip(complex_: ClusterComplex, facet: Facet, i: int,

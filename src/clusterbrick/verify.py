@@ -342,13 +342,13 @@ def _newton_polytope(F: FPolynomial) -> LatticePolytope:
 
 
 def _weight_column_hull(corr: Correspondence, k: int) -> LatticePolytope:
+    """Hull of the weights at position k minus the antigreedy one, in root
+    coordinates; each distinct weight is converted once."""
     cartan = corr.complex_.cartan
-    ag = corr.nodes[antigreedy_facet(corr.complex_)].table
-    points = set()
-    for node in _sorted_nodes(corr):
-        points.add(weight_diff_to_root_coords(
-            cartan, node.table.weights[k - 1], ag.weights[k - 1]))
-    return LatticePolytope(points)
+    ag = corr.nodes[antigreedy_facet(corr.complex_)].table.weights[k - 1]
+    weights = sorted({node.table.weights[k - 1] for node in corr.nodes.values()})
+    return LatticePolytope([weight_diff_to_root_coords(cartan, w, ag)
+                            for w in weights])
 
 
 def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:

@@ -3,9 +3,10 @@
 The tracer wraps package functions by module and attribute name and calls
 `run_checks` positionally, so a rename or signature change in the package
 would silently break traced benchmark runs; these tests catch it instead.
-The tracer also sizes results through `.terms` (of MPoly and FPolynomial)
-and counts mutations as calls to `mutate`.  The tracer file is loaded by
-path and only read.
+The tracer also sizes results through `.terms` (of MPoly and FPolynomial),
+counts mutations as calls to `mutate`, hull calls as calls to
+`convex_hull_vertices` and box points as calls to `LatticePolytope.contains`.
+The tracer file is loaded by path and only read.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from clusterbrick import verify
+from clusterbrick import polytope, verify
 from clusterbrick.cluster import f_polynomial
 from clusterbrick.roots import cartan_of_type, w_catalan
 from clusterbrick.subword import RootTable
@@ -74,3 +75,32 @@ def test_correspondence_mutates_once_per_new_facet(monkeypatch):
         build_correspondence.cache_clear()
     assert len(corr.nodes) == w_catalan("A", 3) == 14
     assert len(calls) == 13
+
+
+def test_lattice_points_tests_each_box_point_through_contains(monkeypatch):
+    calls = []
+    contains = polytope.LatticePolytope.contains
+
+    def counting(self, point):
+        calls.append(tuple(point))
+        return contains(self, point)
+
+    monkeypatch.setattr(polytope.LatticePolytope, "contains", counting)
+    triangle = polytope.LatticePolytope([(0, 0), (3, 0), (0, 2)])
+    found = triangle.lattice_points()
+    assert len(calls) == len(set(calls)) == 4 * 3
+    assert set(found) < set(calls)
+
+
+def test_constructing_a_polytope_hulls_through_the_module_global(monkeypatch):
+    calls = []
+    hull = polytope.convex_hull_vertices
+
+    def counting(points):
+        calls.append(points)
+        return hull(points)
+
+    monkeypatch.setattr(polytope, "convex_hull_vertices", counting)
+    square = polytope.LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    polytope.minkowski_sum([square, square])
+    assert len(calls) == 2

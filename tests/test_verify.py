@@ -165,3 +165,20 @@ def test_correspondence_is_cached():
     one = build_correspondence(A2, (1, 2))
     two = build_correspondence(A2, (1, 2))
     assert one is two
+
+
+def _assert_minkowski_holds_at_rank_four(families):
+    for family in families:
+        reports = run_checks(cartan_of_type(family, 4), (1, 2, 3, 4),
+                             ("minkowski",), 1)
+        assert [(r.name, r.passed) for r in reports] == [("minkowski", True)], (
+            family, reports[0].counterexample)
+
+
+def test_minkowski_at_rank_four():
+    _assert_minkowski_holds_at_rank_four(("A", "D"))
+
+
+@pytest.mark.stretch
+def test_minkowski_at_rank_four_stretch():
+    _assert_minkowski_holds_at_rank_four(("B", "C", "F"))
