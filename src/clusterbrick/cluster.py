@@ -22,8 +22,8 @@ obtain from the boxes of their operands: Z is a domain, so the extreme
 terms of a product never cancel.  The packed format is private to this
 module; `MPoly.terms` gives the tuple-keyed view.
 
-Everything is integer or Fraction arithmetic; there is no floating point in
-this module.
+Everything is integer arithmetic; there is no Fraction and no floating
+point in this module.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, sub
 
 from .errors import (DimensionMismatch, InexactDivision, InvariantViolation,
@@ -207,6 +207,8 @@ class MPoly:
         return out
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.nvars == other.nvars and self._t == other._t
@@ -331,11 +333,16 @@ class Seed:
     The frozen vectors follow their own mutation rule; that they stay equal
     to the columns of the coefficient block is a theorem, checked in tests
     rather than assumed here.
+
+    `memo`, when set, is the `ExchangeMemo` of the walk the seed belongs
+    to: `mutate` takes the new variable from it and hands it on to the
+    mutated seed.  It takes no part in equality.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     variables: tuple[MPoly, ...]
     frozen: tuple[Vec, ...]
+    memo: "ExchangeMemo | None" = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -402,23 +409,31 @@ def exchange_binomial(seed: Seed, i: int) -> MPoly:
 def mutate(seed: Seed, i: int) -> Seed:
     """Mutation of the seed at slot i (1-based).
 
-    The matrix follows the usual four-case rule on all 2n rows.  The new
-    variable is the exchange binomial divided exactly by the old variable.
+    The matrix follows the usual four-case rule on all 2n rows: entry
+    (k, l) is negated when k or l is the slot s, and otherwise gains
+    [b_ks]+ [b_sl]+ - [-b_ks]+ [-b_sl]+, of which at most one term is
+    nonzero, so a row with b_ks = 0 is unchanged.  The new variable is the
+    exchange binomial divided exactly by the old variable, taken from the
+    seed's memo when it has one.
     """
-    new_var = exact_div(exchange_binomial(seed, i), seed.variables[i - 1])
+    if seed.memo is not None:
+        new_var = seed.memo.quotient(seed, i)
+    else:
+        new_var = exact_div(exchange_binomial(seed, i), seed.variables[i - 1])
     n = seed.n
-    col = tuple(seed.matrix[k][i - 1] for k in range(2 * n))
+    s = i - 1
+    pivot = seed.matrix[s]
+    up, down = [_pos(b) for b in pivot], [_pos(-b) for b in pivot]
     new_rows = []
-    for k in range(2 * n):
-        row = []
-        for lo in range(n):
-            b = seed.matrix[k][lo]
-            if k == i - 1 or lo == i - 1:
-                row.append(-b)
-            else:
-                row.append(b + _pos(col[k]) * _pos(seed.matrix[i - 1][lo])
-                           - _pos(-col[k]) * _pos(-seed.matrix[i - 1][lo]))
-        new_rows.append(tuple(row))
+    for k, row in enumerate(seed.matrix):
+        a = row[s]
+        if k == s:
+            row = tuple(-b for b in row)
+        elif a:
+            shifted = [b + a * u for b, u in zip(row, up if a > 0 else down)]
+            shifted[s] = -a
+            row = tuple(shifted)
+        new_rows.append(row)
     variables = tuple(new_var if k == i - 1 else seed.variables[k] for k in range(n))
     f_i = seed.frozen[i - 1]
     floor = tropical_add(f_i, (0,) * n)
@@ -431,7 +446,65 @@ def mutate(seed: Seed, i: int) -> Seed:
             new_frozen.append(tuple(
                 f + _pos(b) * a - b * m
                 for f, a, m in zip(seed.frozen[lo], f_i, floor)))
-    return Seed(tuple(new_rows), variables, tuple(new_frozen))
+    return Seed(tuple(new_rows), variables, tuple(new_frozen), seed.memo)
+
+
+class ExchangeMemo:
+    """Hash-consed cluster variables and exact exchange quotients of one walk.
+
+    `intern` maps every variable to one canonical object per polynomial, so
+    equal variables of the walk are identical and each has a small index.
+    An exchange relation is keyed by its exchange data: the sorted
+    (index, exponent) pairs of the nonzero exchange-block entries of the
+    column, the frozen vector at the slot, and the index of the old
+    variable.  The exchange binomial depends on nothing else, so `quotient`
+    divides once per key.  `verdicts` holds the keys, each extended by the
+    index of the partner variable, of product checks that passed.  No
+    binomial or product is stored.
+    """
+
+    __slots__ = ("_canonical", "_index", "_quotients", "verdicts")
+
+    def __init__(self):
+        self._canonical: dict[MPoly, MPoly] = {}
+        self._index: dict[int, int] = {}    # id of a canonical variable -> index
+        self._quotients: dict[tuple, MPoly] = {}
+        self.verdicts: set[tuple] = set()
+
+    def intern(self, p: MPoly) -> MPoly:
+        """The canonical object equal to p, p itself when it is new."""
+        canonical = self._canonical.setdefault(p, p)
+        if canonical is p:
+            self._index.setdefault(id(p), len(self._index))
+        return canonical
+
+    def attach(self, seed: Seed) -> Seed:
+        """The seed with its variables interned, carrying this memo."""
+        return Seed(seed.matrix, tuple(map(self.intern, seed.variables)),
+                    seed.frozen, self)
+
+    def index(self, p: MPoly) -> int:
+        """Intern index of a canonical variable."""
+        try:
+            return self._index[id(p)]
+        except KeyError:
+            raise InvariantViolation("variable is not interned in this walk") from None
+
+    def exchange_key(self, seed: Seed, i: int) -> tuple:
+        """Exchange data of slot i (1-based) of a seed of this walk."""
+        column = sorted((self.index(seed.variables[k]), b)
+                        for k in range(seed.n) if (b := seed.matrix[k][i - 1]))
+        return tuple(column), seed.frozen[i - 1], self.index(seed.variables[i - 1])
+
+    def quotient(self, seed: Seed, i: int) -> MPoly:
+        """The interned variable that mutation at slot i brings in."""
+        key = self.exchange_key(seed, i)
+        new_var = self._quotients.get(key)
+        if new_var is None:
+            new_var = self.intern(
+                exact_div(exchange_binomial(seed, i), seed.variables[i - 1]))
+            self._quotients[key] = new_var
+        return new_var
 
 
 def principal_part(matrix) -> tuple[tuple[int, ...], ...]:

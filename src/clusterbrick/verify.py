@@ -1,8 +1,17 @@
 """Cross-checks that run the facet model and the mutation model in lockstep.
 
 `build_correspondence` consumes the one breadth-first flip walk,
-`subword.walk_flips`, which supplies each facet's root table, and mutates a
-seed along every flip it yields.  The checks read the resulting nodes.
+`subword.walk_flips`, which supplies each facet's root table, and follows
+every flip it yields on the seed side, certifying each undirected flip edge
+once: a tree edge by the mutation that discovers its far facet, a non-tree
+edge by one product check on its first sighting.  The second sighting of
+either needs integers only.  The two seeds must be a mutation pair (frozen
+vector and exchange column negated, every other variable identical), which
+makes their exchange binomials equal, so the product certified in one
+direction holds in the other.  Cluster variables are interned, and exact
+quotients and product verdicts memoized by exchange data, in an
+`ExchangeMemo` that lives for one walk.  The checks read the resulting
+nodes.
 
 Every check returns a Report rather than raising: a failed mathematical
 statement is data (with a counterexample payload), not a crash.  Structural
@@ -15,12 +24,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .cluster import (FPolynomial, MPoly, Seed, c_vector, cluster_key,
-                      d_vector, exchange_binomial, f_polynomial, g_vector,
-                      initial_seed, mutate, principal_part)
+from .cluster import (ExchangeMemo, FPolynomial, MPoly, Seed, c_vector,
+                      cluster_key, d_vector, exchange_binomial, f_polynomial,
+                      g_vector, initial_seed, mutate, principal_part)
 from .coxeter import Word, coxeter_words, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
@@ -93,29 +102,73 @@ def _assert_position_map(complex_: ClusterComplex, node: Node) -> None:
                 f"{dv}, expected {complex_.pos_root[i - 1]}")
 
 
-def _assert_same_cluster(node: Node, slot: int, known: Node, j: int) -> None:
-    """Mutating `node` at `slot` must give the cluster of `known`, whose
-    position j holds the new variable.
+def _assert_same_cluster(node: Node, slot: int, known: Node, j: int,
+                         memo: ExchangeMemo) -> None:
+    """First sighting of a flip from `node` into the facet of `known`, found
+    earlier, whose position j holds the new variable.
 
-    The mutation replaces x_slot by the variable v with v * x_slot equal to
-    the exchange binomial, so the known variable at j must satisfy that
-    product (the Laurent ring is a domain, so multiplying decides exactly
-    what dividing would), and every other position must carry the same
-    variable in both clusters.
+    Mutating `node` at `slot` replaces x_slot by the variable v with
+    v * x_slot equal to the exchange binomial, so the known variable at j
+    must satisfy that product (the Laurent ring is a domain, so multiplying
+    decides exactly what dividing would), and every other position must
+    carry the same, hence identical, interned variable.  The product's
+    verdict depends only on the exchange data and v, so it is computed once
+    per memo key.
     """
     v = known.seed.variables[known.pos_to_slot[j] - 1]
-    same = v * node.seed.variables[slot - 1] == exchange_binomial(node.seed, slot)
-    same = same and all(
+    same = all(
         known.seed.variables[known.pos_to_slot[k] - 1]
-        == node.seed.variables[node.pos_to_slot[k] - 1]
+        is node.seed.variables[node.pos_to_slot[k] - 1]
         for k in known.facet if k != j)
+    if same:
+        key = memo.exchange_key(node.seed, slot) + (memo.index(v),)
+        if key not in memo.verdicts:
+            same = v * node.seed.variables[slot - 1] == exchange_binomial(
+                node.seed, slot)
+            if same:
+                memo.verdicts.add(key)
     if not same:
         raise InvariantViolation(
             f"walk desynchronized at facet {known.facet}: two paths give "
             "different clusters")
 
 
-@lru_cache(maxsize=None)
+def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
+    """Second sighting of a flip edge: `node` flips position i into the
+    facet of `known`, whose flip at j back into `node`'s facet is certified.
+
+    At the exchanged slots s and t the frozen vector and the extended
+    exchange column at t must be the negations of those at s (exchange rows
+    read through the position maps, position j standing for i), and every
+    other position must hold the identical variable.  Then the positive and
+    negative parts of the two exchange binomials trade places, so the two
+    binomials are equal.
+    """
+    s, t = node.pos_to_slot[i], known.pos_to_slot[j]
+    seed, other = node.seed, known.seed
+    n = seed.n
+    ok = other.frozen[t - 1] == tuple(-a for a in seed.frozen[s - 1])
+    ok = ok and all(
+        other.matrix[known.pos_to_slot[j if k == i else k] - 1][t - 1]
+        == -seed.matrix[node.pos_to_slot[k] - 1][s - 1] for k in node.facet)
+    ok = ok and all(other.matrix[r][t - 1] == -seed.matrix[r][s - 1]
+                    for r in range(n, 2 * n))
+    ok = ok and all(
+        other.variables[known.pos_to_slot[k] - 1]
+        is seed.variables[node.pos_to_slot[k] - 1]
+        for k in node.facet if k != i)
+    if not ok:
+        raise InvariantViolation(
+            f"walk desynchronized at facet {known.facet}: the flip back from "
+            f"{node.facet} is not the inverse mutation")
+
+
+# Walks kept by the caches of build_correspondence and variables_by_root:
+# enough for every check of one Coxeter word, not for a whole sweep.
+_WALKS_KEPT = 4
+
+
+@lru_cache(maxsize=_WALKS_KEPT)
 def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     """Seeds mutated in lockstep with the facet flips of `walk_flips`.
 
@@ -123,28 +176,48 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     slot holding the variable of position i; the map position -> slot is
     carried along and re-verified at every vertex through the bijection
     between d-vectors and the almost positive roots attached to positions.
-    A flip into a new facet mutates; every flip into a facet found earlier
-    checks the exchange relation against that facet's cluster instead, so
-    the result does not depend on the path.
+
+    Each undirected flip edge is certified exactly once, so the result does
+    not depend on the path.  A flip into a new facet mutates.  The first
+    sighting of a flip into a facet found earlier checks the exchange
+    relation against that facet's cluster by one product.  The second
+    sighting of any edge (the reverse of a tree edge, or the far end of a
+    non-tree edge) checks in integers that the two seeds are related by the
+    involution; that makes the two exchange binomials equal, so the product
+    certified in the other direction holds in this one.  The walk is
+    breadth first, so an edge into a facet discovered before the current
+    one is a second sighting.
+
+    Variables are interned, and exact quotients and product verdicts
+    memoized by exchange data, in an `ExchangeMemo` created here and
+    dropped with the walk: the returned seeds carry no memo.
     """
     complex_ = build_complex(cartan, c)
     n = complex_.n
+    memo = ExchangeMemo()
     nodes: dict[Facet, Node] = {}
+    order: dict[Facet, int] = {}
     keys = {}
     for facet, i, new_facet, j, new_table in walk_flips(complex_):
         if facet is None:
-            new_node = Node(new_facet, new_table, initial_seed(cartan, c),
+            new_node = Node(new_facet, new_table,
+                            memo.attach(initial_seed(cartan, c)),
                             {k: c[k - 1] for k in range(1, n + 1)})
         else:
             node = nodes[facet]
             slot = node.pos_to_slot[i]
             if new_table is None:
-                _assert_same_cluster(node, slot, nodes[new_facet], j)
+                known = nodes[new_facet]
+                if order[new_facet] < order[facet]:
+                    _assert_involution(node, i, known, j)
+                else:
+                    _assert_same_cluster(node, slot, known, j, memo)
                 continue
             new_map = {k: s for k, s in node.pos_to_slot.items() if k != i}
             new_map[j] = slot
             new_node = Node(new_facet, new_table, mutate(node.seed, slot), new_map)
         _assert_position_map(complex_, new_node)
+        order[new_facet] = len(order)
         nodes[new_facet] = new_node
         keys[new_facet] = cluster_key(new_node.seed)
     if len(set(keys.values())) != len(nodes):
@@ -153,14 +226,16 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     if fam is not None and len(nodes) != w_catalan(*fam):
         raise InvariantViolation(
             f"{len(nodes)} facets, expected {w_catalan(*fam)}")
-    return Correspondence(complex_, nodes)
+    return Correspondence(complex_, {
+        facet: replace(node, seed=replace(node.seed, memo=None))
+        for facet, node in nodes.items()})
 
 
 def _sorted_nodes(corr: Correspondence) -> list:
     return [corr.nodes[f] for f in sorted(corr.nodes)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WALKS_KEPT)
 def variables_by_root(cartan: CartanMatrix, c: Word) -> dict:
     """Map each positive root to its cluster variable via the position whose
     almost positive root it is, checking that all facets agree."""
@@ -313,10 +388,11 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
                         "actual": other.table.weights[k - 1]})
             if i < j:
                 for k in range(1, m + 1):
+                    hi, lo = node.table.weights[k - 1], other.table.weights[k - 1]
+                    if hi == lo:
+                        continue    # a zero difference lies in the root cone
                     try:
-                        diff = weight_diff_to_root_coords(
-                            cartan, node.table.weights[k - 1],
-                            other.table.weights[k - 1])
+                        diff = weight_diff_to_root_coords(cartan, hi, lo)
                     except NotInRootLattice:
                         diff = None
                     if diff is None or any(x < 0 for x in diff):

@@ -5,8 +5,8 @@ import pytest
 from clusterbrick.errors import InexactDivision, InvariantViolation
 from clusterbrick.roots import cartan_of_type, positive_roots
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import (FPolynomial, MPoly, all_cluster_variables,
-                                  c_vector, c_vectors, cluster_key, d_vector,
+from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly,
+                                  all_cluster_variables, c_vector, c_vectors, cluster_key, d_vector,
                                   enumerate_seeds, exact_div, f_polynomial,
                                   format_fpoly, format_laurent, g_from_F,
                                   g_vector, initial_matrix, initial_seed,
@@ -117,6 +117,54 @@ def test_mutation_is_involution():
         for seed in enumerate_seeds(cartan, c):
             for i in range(1, cartan.n + 1):
                 assert mutate(mutate(seed, i), i) == seed
+
+
+def test_memoized_mutation_matches_plain_mutation(monkeypatch):
+    """A seed carrying an ExchangeMemo mutates to the same seeds as a plain
+    one, hands the memo on, and holds interned variables throughout: equal
+    variables are identical, and an exchange divides once per key."""
+    import random
+    from clusterbrick import cluster
+    divisions = []
+    divide = cluster.exact_div
+
+    def counting(num, den):
+        divisions.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(cluster, "exact_div", counting)
+    rng = random.Random(3)
+    for cartan, c in [(B2, (2, 1)), (A3, (1, 3, 2)),
+                      (cartan_of_type("G", 2), (1, 2))]:
+        memo = ExchangeMemo()
+        plain, memoized = initial_seed(cartan, c), memo.attach(initial_seed(cartan, c))
+        seen = {}
+        plain_divisions = 0
+        divisions.clear()
+        for _ in range(200):
+            i = rng.randint(1, cartan.n)
+            before = len(divisions)
+            plain = mutate(plain, i)
+            plain_divisions += len(divisions) - before
+            del divisions[before:]
+            memoized = mutate(memoized, i)
+            assert memoized == plain and memoized.memo is memo
+            assert plain.memo is None
+            for v in memoized.variables:
+                assert seen.setdefault(v, v) is v
+                assert memo.intern(v) is v
+        assert len(seen) == cartan.n + len(positive_roots(cartan))
+        assert plain_divisions == 200
+        assert 0 < len(divisions) < 200
+
+
+def test_exchange_memo_rejects_foreign_variables():
+    memo = ExchangeMemo()
+    x = memo.intern(mono(2, (1, 0)))
+    assert memo.index(x) == 0
+    assert memo.intern(mono(2, (1, 0))) is x
+    with pytest.raises(InvariantViolation):
+        memo.index(mono(2, (1, 0)))
 
 
 def test_frozen_tracks_coefficient_columns():

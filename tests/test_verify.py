@@ -6,14 +6,16 @@ import pytest
 
 from clusterbrick import subword, verify
 from clusterbrick.errors import InvariantViolation
-from clusterbrick.roots import CartanMatrix, cartan_of_type, w_catalan
+from clusterbrick.roots import (CartanMatrix, cartan_of_type, positive_roots,
+                                w_catalan)
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import MPoly, cluster_key, initial_seed
+from clusterbrick.cluster import (MPoly, cluster_key, enumerate_seeds,
+                                  initial_seed)
 from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
                                   greedy_facet, root_table)
-from clusterbrick.verify import (Report, build_correspondence, check_names,
-                                 check_typea_models, run_checks, type_label,
-                                 variables_by_root)
+from clusterbrick.verify import (Report, build_correspondence, check_lemmas,
+                                 check_names, check_typea_models, run_checks,
+                                 type_label, variables_by_root)
 
 A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)
@@ -137,6 +139,99 @@ def test_correspondence_catches_a_wrong_exchange_binomial(monkeypatch):
             build_correspondence(A2, (1, 2))
     finally:
         build_correspondence.cache_clear()
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(verify, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(verify, name, counting)
+    return counts
+
+
+def test_each_flip_edge_is_certified_once(monkeypatch):
+    """A3 has 14 facets and 21 flip edges, 42 directed sightings in all:
+    13 tree edges mutate, the 8 non-tree edges get one product check each,
+    and the 21 second sightings (13 reverses of tree edges, 8 far ends of
+    non-tree edges) are checked in integers."""
+    counts = _count_calls(monkeypatch, (
+        "mutate", "_assert_same_cluster", "_assert_involution",
+        "exchange_binomial"))
+    build_correspondence.cache_clear()
+    try:
+        corr = build_correspondence(A3, (1, 2, 3))
+    finally:
+        build_correspondence.cache_clear()
+    assert len(corr.nodes) == 14
+    assert counts["mutate"] == 13
+    assert counts["_assert_same_cluster"] == 8
+    assert counts["_assert_involution"] == 13 + 8
+    assert sum(counts[name] for name in (
+        "mutate", "_assert_same_cluster", "_assert_involution")) == 14 * 3
+    # memoized verdicts: some product checks reuse an earlier product
+    assert 0 < counts["exchange_binomial"] < 8
+
+
+def test_correspondence_catches_a_mutation_that_keeps_the_frozen_vector(
+        monkeypatch):
+    """Only the second sighting of an edge compares the two seeds as a
+    mutation pair; on A1 it is the only check that sees the single edge."""
+    mutate = verify.mutate
+
+    def corrupted(seed, i):
+        out = mutate(seed, i)
+        frozen = out.frozen[:i - 1] + (seed.frozen[i - 1],) + out.frozen[i:]
+        return dataclasses.replace(out, frozen=frozen)
+
+    monkeypatch.setattr(verify, "mutate", corrupted)
+    build_correspondence.cache_clear()
+    try:
+        for cartan, c in [(cartan_of_type("A", 1), (1,)), (A3, (1, 2, 3))]:
+            with pytest.raises(InvariantViolation, match="inverse mutation"):
+                build_correspondence(cartan, c)
+    finally:
+        build_correspondence.cache_clear()
+
+
+def test_walk_interns_every_variable():
+    """Across all nodes there are exactly n + |positive roots| variable
+    objects, equal variables are identical, no seed keeps the walk's memo,
+    and the clusters are those of the unmemoized mutation-only oracle."""
+    for cartan in (A3, cartan_of_type("B", 3), G2, cartan_of_type("D", 4)):
+        for c in coxeter_words(cartan):
+            corr = build_correspondence(cartan, c)
+            objects = {id(v): v for node in corr.nodes.values()
+                       for v in node.seed.variables}
+            assert len(objects) == cartan.n + len(positive_roots(cartan))
+            assert len(set(objects.values())) == len(objects)
+            assert all(node.seed.memo is None for node in corr.nodes.values())
+            clusters = {frozenset(node.seed.variables)
+                        for node in corr.nodes.values()}
+            oracle = {frozenset(seed.variables)
+                      for seed in enumerate_seeds(cartan, c)}
+            assert clusters == oracle
+
+
+def test_walk_caches_are_bounded():
+    for cached in (build_correspondence, variables_by_root):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 8
+
+
+def test_lemmas_skips_identical_weight_pairs(monkeypatch):
+    calls = []
+    diff = verify.weight_diff_to_root_coords
+
+    def counting(cartan, hi, lo):
+        calls.append((hi, lo))
+        return diff(cartan, hi, lo)
+
+    monkeypatch.setattr(verify, "weight_diff_to_root_coords", counting)
+    report = check_lemmas(A3, (1, 2, 3))
+    assert report.passed, report.counterexample
+    assert calls and all(hi != lo for hi, lo in calls)
 
 
 def test_variables_by_root_newton_golden():
