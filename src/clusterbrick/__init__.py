@@ -1,7 +1,7 @@
 """Exact engine for finite-type cluster algebras with principal coefficients,
 computed through subword complexes, root configurations, and brick polytopes.
 
-Everything is integer or Fraction arithmetic; no floats anywhere.
+Everything is integer arithmetic; no fractions and no floats anywhere.
 """
 
 from .cluster import (FPolynomial, MPoly, Seed, all_cluster_variables,

@@ -1,8 +1,9 @@
 """Cluster algebra seeds with principal coefficients, in exact arithmetic.
 
 A seed is an extended integer matrix (2n rows by n columns: exchange block on
-top, coefficient block below) together with n cluster variables.  Variables
-live in the Laurent ring Z[x1..xn, x1^-1..xn^-1, y1..yn], represented as
+top, coefficient block below) together with n cluster variables; column i of
+the coefficient block is the c-vector of slot i, whose coefficient is y^c_i.
+Variables live in the Laurent ring Z[x1..xn, x1^-1..xn^-1, y1..yn], as
 integer-coefficient polynomials in 2n variables (x slots first, then y
 slots; x exponents may be negative).
 
@@ -327,12 +328,11 @@ def tropical_add(m1, m2) -> Vec:
 
 @dataclass(frozen=True)
 class Seed:
-    """Extended exchange matrix (2n x n), n cluster variables, and the n
-    frozen coefficient monomials as y-exponent vectors.
+    """Extended exchange matrix (2n x n) and n cluster variables.
 
-    The frozen vectors follow their own mutation rule; that they stay equal
-    to the columns of the coefficient block is a theorem, checked in tests
-    rather than assumed here.
+    The coefficient of slot i is the tropical monomial y^c_i, with c_i
+    column i of the coefficient block (Fomin-Zelevinsky, Cluster algebras
+    IV); `c_vector` reads it, and no second copy is kept.
 
     `memo`, when set, is the `ExchangeMemo` of the walk the seed belongs
     to: `mutate` takes the new variable from it and hands it on to the
@@ -341,7 +341,6 @@ class Seed:
 
     matrix: tuple[tuple[int, ...], ...]
     variables: tuple[MPoly, ...]
-    frozen: tuple[Vec, ...]
     memo: "ExchangeMemo | None" = field(default=None, compare=False, repr=False)
 
     @property
@@ -378,22 +377,21 @@ def initial_seed(cartan: CartanMatrix, c) -> Seed:
     variables = tuple(
         MPoly.monomial(2 * n, tuple(1 if t == s else 0 for t in range(2 * n)))
         for s in range(n))
-    frozen = tuple(tuple(1 if t == s else 0 for t in range(n)) for s in range(n))
-    return Seed(initial_matrix(cartan, c), variables, frozen)
+    return Seed(initial_matrix(cartan, c), variables)
 
 
 def exchange_binomial(seed: Seed, i: int) -> MPoly:
     """The product of the variable at slot i (1-based) and its mutation.
 
     The two monomials of the exchange relation, with the coefficient
-    monomials split off the stored frozen vector f_i: the normalizations
-    f_i/(f_i (+) 1) and 1/(f_i (+) 1) are the monomials y^(f_i - min(f_i,0))
-    and y^(-min(f_i,0)).
+    monomials split off the c-vector f_i of the slot: the normalizations
+    y^f_i/(y^f_i (+) 1) and 1/(y^f_i (+) 1) are the monomials
+    y^(f_i - min(f_i,0)) and y^(-min(f_i,0)).
     """
     n = seed.n
     if not 1 <= i <= n:
         raise ValueError(f"slot {i} out of range 1..{n}")
-    f_i = seed.frozen[i - 1]
+    f_i = c_vector(seed, i)
     floor = tropical_add(f_i, (0,) * n)
     plus = MPoly.monomial(2 * n, (0,) * n + tuple(a - b for a, b in zip(f_i, floor)))
     minus = MPoly.monomial(2 * n, (0,) * n + tuple(-b for b in floor))
@@ -434,19 +432,8 @@ def mutate(seed: Seed, i: int) -> Seed:
             shifted[s] = -a
             row = tuple(shifted)
         new_rows.append(row)
-    variables = tuple(new_var if k == i - 1 else seed.variables[k] for k in range(n))
-    f_i = seed.frozen[i - 1]
-    floor = tropical_add(f_i, (0,) * n)
-    new_frozen = []
-    for lo in range(n):
-        if lo == i - 1:
-            new_frozen.append(tuple(-a for a in f_i))
-        else:
-            b = seed.matrix[i - 1][lo]
-            new_frozen.append(tuple(
-                f + _pos(b) * a - b * m
-                for f, a, m in zip(seed.frozen[lo], f_i, floor)))
-    return Seed(tuple(new_rows), variables, tuple(new_frozen), seed.memo)
+    variables = tuple(new_var if k == s else seed.variables[k] for k in range(n))
+    return Seed(tuple(new_rows), variables, seed.memo)
 
 
 class ExchangeMemo:
@@ -456,8 +443,8 @@ class ExchangeMemo:
     equal variables of the walk are identical and each has a small index.
     An exchange relation is keyed by its exchange data: the sorted
     (index, exponent) pairs of the nonzero exchange-block entries of the
-    column, the frozen vector at the slot, and the index of the old
-    variable.  The exchange binomial depends on nothing else, so `quotient`
+    column, the c-vector of the slot, and the index of the old variable.
+    The exchange binomial depends on nothing else, so `quotient`
     divides once per key.  `verdicts` holds the keys, each extended by the
     index of the partner variable, of product checks that passed.  No
     binomial or product is stored.
@@ -480,8 +467,7 @@ class ExchangeMemo:
 
     def attach(self, seed: Seed) -> Seed:
         """The seed with its variables interned, carrying this memo."""
-        return Seed(seed.matrix, tuple(map(self.intern, seed.variables)),
-                    seed.frozen, self)
+        return Seed(seed.matrix, tuple(map(self.intern, seed.variables)), self)
 
     def index(self, p: MPoly) -> int:
         """Intern index of a canonical variable."""
@@ -494,7 +480,7 @@ class ExchangeMemo:
         """Exchange data of slot i (1-based) of a seed of this walk."""
         column = sorted((self.index(seed.variables[k]), b)
                         for k in range(seed.n) if (b := seed.matrix[k][i - 1]))
-        return tuple(column), seed.frozen[i - 1], self.index(seed.variables[i - 1])
+        return tuple(column), c_vector(seed, i), self.index(seed.variables[i - 1])
 
     def quotient(self, seed: Seed, i: int) -> MPoly:
         """The interned variable that mutation at slot i brings in."""

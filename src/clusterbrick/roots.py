@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InvalidCartanMatrix,
@@ -96,8 +95,7 @@ def _validate_cartan(rows: tuple[tuple[int, ...], ...]) -> None:
             if a * b > 3:
                 raise InvalidCartanMatrix(f"entry product {a * b} > 3 at ({s + 1},{t + 1})")
     d = _symmetrizer(rows)
-    scale = math.lcm(*(x.denominator for x in d))
-    sym = [[int(d[s] * scale) * rows[s][t] for t in range(n)] for s in range(n)]
+    sym = [[d[s] * rows[s][t] for t in range(n)] for s in range(n)]
     if any(sym[s][t] != sym[t][s] for s in range(n) for t in range(s)):
         raise InvalidCartanMatrix("matrix is not symmetrizable")
     # Fraction-free elimination without row swaps: by Sylvester's identity
@@ -116,22 +114,26 @@ def _validate_cartan(rows: tuple[tuple[int, ...], ...]) -> None:
         prev = p
 
 
-def _symmetrizer(rows: tuple[tuple[int, ...], ...]) -> list[Fraction]:
-    """Positive diagonal d with d[s]*a[s][t] == d[t]*a[t][s], found per component."""
+def _symmetrizer(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Positive ints d with d[s]*a[s][t] == d[t]*a[t][s] along a spanning tree
+    of each component.  Each tree starts at the product of all off-diagonal
+    magnitudes, which the denominators along any of its paths divide."""
     n = len(rows)
-    d: list[Fraction | None] = [None] * n
+    scale = math.prod(-a for s, row in enumerate(rows) for t, a in enumerate(row)
+                      if s != t and a)
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = scale
         stack = [start]
         while stack:
             s = stack.pop()
             for t in range(n):
-                if rows[s][t] != 0 and s != t and d[t] is None:
-                    d[t] = d[s] * rows[s][t] / rows[t][s]
+                if rows[s][t] != 0 and s != t and not d[t]:
+                    d[t] = d[s] * rows[s][t] // rows[t][s]
                     stack.append(t)
-    return [x if x is not None else Fraction(1) for x in d]
+    return d
 
 
 def det_adjugate(matrix) -> tuple[int, tuple[Vec, ...] | None]:
@@ -387,9 +389,7 @@ def w_catalan(family: str, rank: int) -> int:
     """prod (d_i + h) / d_i over the fundamental degrees, an exact integer."""
     ds = degrees(family, rank)
     h = max(ds)
-    num = Fraction(1)
-    for d in ds:
-        num *= Fraction(d + h, d)
-    if num.denominator != 1:
+    quotient, remainder = divmod(math.prod(d + h for d in ds), math.prod(ds))
+    if remainder:
         raise InvalidCartanType("degree product is not an integer")  # pragma: no cover
-    return int(num)
+    return quotient

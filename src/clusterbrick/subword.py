@@ -5,7 +5,8 @@ the longest element relative to c.  Facets are the size-n position sets
 whose complement spells a reduced word for the longest element; positions
 are 1-based.  Each position carries an almost positive root, the first n
 the negated simple roots of the letters of c, the rest the positive roots
-in the order the sorting word sweeps them.
+in the order the sorting word sweeps them.  A facet's root table holds its
+root and weight configurations; coroots are read off the roots.
 
 `walk_flips` is the one breadth-first walk of the flip graph.  It carries
 the root tables along the flips and spot-checks them against tables built
@@ -38,6 +39,7 @@ from .errors import InvariantViolation
 from .roots import (
     CartanMatrix,
     Vec,
+    coroot_of_root,
     positive_roots,
     root_to_weight_coords,
     transpose,
@@ -71,16 +73,16 @@ class ClusterComplex:
 
 @dataclass(frozen=True)
 class RootTable:
-    """Cached root/weight data of one facet, one entry per position.
+    """Root (simple-root coordinates) and weight (fundamental-weight
+    coordinates) of one facet at each position.
 
-    Roots and coroots are in simple-root/coroot coordinates, weights in
-    fundamental-weight coordinates.
+    The coroot at a position is `coroot_of_root(cartan)[root]`, as
+    (w alpha)^dual = w(alpha^dual), and the facet is the key a table is
+    kept under; neither is stored.
     """
 
-    facet: Facet
     roots: tuple[Vec, ...]
     weights: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]
 
 
 def build_complex(cartan: CartanMatrix, c: Word) -> ClusterComplex:
@@ -188,7 +190,7 @@ def _entry(complex_: ClusterComplex, facet: Facet, k: int, action,
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
-    """Direct construction of all three rows in one left-to-right sweep.
+    """Direct construction of both rows in one left-to-right sweep.
 
     Each prefix product is carried as its list of columns: the entry at
     position k is column q of the prefix before k, where q is the letter at
@@ -199,8 +201,8 @@ def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
     chosen = set(facet)
     updates = _column_updates(complex_.cartan)
     unit_cols = [tuple(1 if t == c else 0 for t in range(n)) for c in range(n)]
-    prefixes = (list(unit_cols), list(unit_cols), list(unit_cols))
-    rows = ([], [], [])
+    prefixes = (list(unit_cols), list(unit_cols))
+    rows = ([], [])
     for k, q in enumerate(complex_.word, start=1):
         for cols, row in zip(prefixes, rows):
             row.append(cols[q - 1])
@@ -210,8 +212,8 @@ def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
                 moved = [(c, _combine(cols, terms)) for c, terms in per_letter[q - 1]]
                 for c, col in moved:
                     cols[c] = col
-    roots, weights, coroots = rows
-    return RootTable(tuple(facet), tuple(roots), tuple(weights), tuple(coroots))
+    roots, weights = rows
+    return RootTable(tuple(roots), tuple(weights))
 
 
 def _combine(cols: list, terms) -> Vec:
@@ -226,15 +228,14 @@ def _combine(cols: list, terms) -> Vec:
 @functools.lru_cache(maxsize=None)
 def _column_updates(cartan: CartanMatrix) -> tuple:
     """How right multiplication by each simple reflection rewrites the
-    columns of a matrix, for the root, weight and coroot representations.
+    columns of a matrix, for the root and weight representations.
 
     Entry [rep][s - 1] lists (c, ((t, coef), ...)): new column c is the sum
     of coef times old column t.  A reflection differs from the identity by
     a rank-one matrix, so only a few columns are listed.
     """
     out = []
-    for mats in (reflection_matrices(cartan), weight_reflection_matrices(cartan),
-                 reflection_matrices(transpose(cartan))):
+    for mats in (reflection_matrices(cartan), weight_reflection_matrices(cartan)):
         n = len(mats[0])
         out.append(tuple(
             tuple((c, tuple((t, m[t][c]) for t in range(n) if m[t][c]))
@@ -270,23 +271,20 @@ def flip(complex_: ClusterComplex, facet: Facet, i: int,
     return out, j
 
 
-def update_after_flip(complex_: ClusterComplex, facet: Facet, i: int,
-                      new_facet: Facet, j: int, table: RootTable) -> RootTable:
-    """Table of the flipped facet: entries strictly between the exchanged
-    positions (inclusive on the far side) are reflected along the root at i,
-    all other entries are copied."""
+def update_after_flip(complex_: ClusterComplex, i: int, j: int,
+                      table: RootTable) -> RootTable:
+    """Table of the facet that flipping position i for j yields: entries
+    strictly between the exchanged positions (inclusive on the far side)
+    are reflected along the root at i, all other entries are copied."""
     cartan = complex_.cartan
-    n = cartan.n
     beta = table.roots[i - 1]
-    beta_co = table.coroots[i - 1]
-    # <x, beta_co> = x . (A^T beta_co) and <beta, y> = y . (A beta)
+    beta_co = coroot_of_root(cartan)[beta]
+    # <x, beta_co> = x . (A^T beta_co) for a root x, w . beta_co for a weight w
     beta_w = root_to_weight_coords(cartan, beta)
-    beta_co_w = tuple(sum(beta_co[s] * cartan.rows[s][t] for s in range(n))
-                      for t in range(n))
+    beta_co_w = root_to_weight_coords(transpose(cartan), beta_co)
     lo, hi = min(i, j), max(i, j)
     roots = list(table.roots)
     weights = list(table.weights)
-    coroots = list(table.coroots)
     for k in range(lo + 1, hi + 1):
         x = roots[k - 1]
         coef = sum(a * b for a, b in zip(x, beta_co_w))
@@ -294,10 +292,7 @@ def update_after_flip(complex_: ClusterComplex, facet: Facet, i: int,
         w = weights[k - 1]
         coef = sum(a * b for a, b in zip(w, beta_co))
         weights[k - 1] = tuple(a - coef * b for a, b in zip(w, beta_w))
-        y = coroots[k - 1]
-        coef = sum(a * b for a, b in zip(y, beta_w))
-        coroots[k - 1] = tuple(a - coef * b for a, b in zip(y, beta_co))
-    return RootTable(tuple(new_facet), tuple(roots), tuple(weights), tuple(coroots))
+    return RootTable(tuple(roots), tuple(weights))
 
 
 def brick_vector(complex_: ClusterComplex, facet: Facet,
@@ -338,7 +333,7 @@ def walk_flips(complex_: ClusterComplex) -> Iterator[tuple]:
             if new_facet in tables:
                 yield facet, i, new_facet, j, None
                 continue
-            new_table = update_after_flip(complex_, facet, i, new_facet, j, table)
+            new_table = update_after_flip(complex_, i, j, table)
             # before the k-th discovery after the greedy facet, k facets are known
             if len(tables) % _SPOT_CHECK_EVERY == 0 or new_facet == anti:
                 if new_table != root_table(complex_, new_facet):
@@ -361,17 +356,9 @@ def enumerate_facets(complex_: ClusterComplex) -> tuple[Facet, ...]:
 def brute_force_facets(complex_: ClusterComplex) -> tuple[Facet, ...]:
     """All size-n position sets whose complement spells the longest element.
 
-    Independent of the flip machinery; exponential in the word length, for
-    cross-checking small ranks only.
+    `is_facet` on every combination: independent of the flip machinery,
+    exponential in the word length, for cross-checking small ranks only.
     """
-    mats = reflection_matrices(complex_.cartan)
-    out = []
-    for combo in combinations(range(1, complex_.m + 1), complex_.n):
-        chosen = set(combo)
-        acc = identity_matrix(complex_.n)
-        for k, q in enumerate(complex_.word, start=1):
-            if k not in chosen:
-                acc = mat_mul(acc, mats[q - 1])
-        if acc == complex_.longest:
-            out.append(combo)
-    return tuple(out)
+    positions = range(1, complex_.m + 1)
+    return tuple(combo for combo in combinations(positions, complex_.n)
+                 if is_facet(complex_, combo))

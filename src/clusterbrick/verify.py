@@ -5,8 +5,8 @@
 every flip it yields on the seed side, certifying each undirected flip edge
 once: a tree edge by the mutation that discovers its far facet, a non-tree
 edge by one product check on its first sighting.  The second sighting of
-either needs integers only.  The two seeds must be a mutation pair (frozen
-vector and exchange column negated, every other variable identical), which
+either needs integers only.  The two seeds must be a mutation pair (extended
+exchange column negated, every other variable identical), which
 makes their exchange binomials equal, so the product certified in one
 direction holds in the other.  Cluster variables are interned, and exact
 quotients and product verdicts memoized by exchange data, in an
@@ -28,14 +28,14 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .cluster import (ExchangeMemo, FPolynomial, MPoly, Seed, c_vector,
-                      cluster_key, d_vector, exchange_binomial, f_polynomial,
-                      g_vector, initial_seed, mutate, principal_part)
+                      d_vector, exchange_binomial, f_polynomial, g_vector,
+                      initial_seed, mutate, principal_part)
 from .coxeter import Word, coxeter_words, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
 from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
-                    reflect_weight, root_to_weight_coords, w_catalan,
-                    weight_diff_to_root_coords)
+                    coroot_of_root, reflect_weight, root_to_weight_coords,
+                    w_catalan, weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
                       brick_vector, build_complex, flip, greedy_facet,
                       walk_flips)
@@ -137,18 +137,17 @@ def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
     """Second sighting of a flip edge: `node` flips position i into the
     facet of `known`, whose flip at j back into `node`'s facet is certified.
 
-    At the exchanged slots s and t the frozen vector and the extended
-    exchange column at t must be the negations of those at s (exchange rows
-    read through the position maps, position j standing for i), and every
-    other position must hold the identical variable.  Then the positive and
-    negative parts of the two exchange binomials trade places, so the two
-    binomials are equal.
+    At the exchanged slots s and t the extended exchange column at t must
+    be the negation of that at s (exchange rows read through the position
+    maps, position j standing for i; the coefficient rows, which hold the
+    c-vector, directly), and every other position must hold the identical
+    variable.  Then the positive and negative parts of the two exchange
+    binomials trade places, so the two binomials are equal.
     """
     s, t = node.pos_to_slot[i], known.pos_to_slot[j]
     seed, other = node.seed, known.seed
     n = seed.n
-    ok = other.frozen[t - 1] == tuple(-a for a in seed.frozen[s - 1])
-    ok = ok and all(
+    ok = all(
         other.matrix[known.pos_to_slot[j if k == i else k] - 1][t - 1]
         == -seed.matrix[node.pos_to_slot[k] - 1][s - 1] for k in node.facet)
     ok = ok and all(other.matrix[r][t - 1] == -seed.matrix[r][s - 1]
@@ -188,6 +187,11 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     breadth first, so an edge into a facet discovered before the current
     one is a second sighting.
 
+    No two facets share a cluster, and no clusters are compared:
+    `_assert_position_map` proves at every node that the d-vectors of its
+    cluster are {pos_root[i] : i in facet}, and `build_complex` asserts that
+    `pos_root` is injective, so the cluster determines the facet.
+
     Variables are interned, and exact quotients and product verdicts
     memoized by exchange data, in an `ExchangeMemo` created here and
     dropped with the walk: the returned seeds carry no memo.
@@ -197,7 +201,6 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     memo = ExchangeMemo()
     nodes: dict[Facet, Node] = {}
     order: dict[Facet, int] = {}
-    keys = {}
     for facet, i, new_facet, j, new_table in walk_flips(complex_):
         if facet is None:
             new_node = Node(new_facet, new_table,
@@ -219,9 +222,6 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
         _assert_position_map(complex_, new_node)
         order[new_facet] = len(order)
         nodes[new_facet] = new_node
-        keys[new_facet] = cluster_key(new_node.seed)
-    if len(set(keys.values())) != len(nodes):
-        raise InvariantViolation("two facets share a cluster")
     fam = _family_rank(cartan)
     if fam is not None and len(nodes) != w_catalan(*fam):
         raise InvariantViolation(
@@ -301,6 +301,7 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
     n = corr.complex_.n
+    coroot = coroot_of_root(cartan)
     for node in _sorted_nodes(corr):
         positions = list(node.facet)
         for i in positions:
@@ -310,10 +311,11 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
                 return _report("g-vectors", cartan, c, started, {
                     "facet": node.facet, "position": i,
                     "expected": expected, "actual": actual})
+        coroots = [coroot[node.table.roots[j - 1]] for j in positions]
         for a, i in enumerate(positions):
             for b, j in enumerate(positions):
                 dot = sum(x * y for x, y in zip(node.table.weights[i - 1],
-                                                node.table.coroots[j - 1]))
+                                                coroots[b]))
                 if dot != (1 if a == b else 0):
                     return _report("g-vectors", cartan, c, started, {
                         "facet": node.facet, "position": (i, j),
@@ -324,22 +326,24 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
 def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
     """The principal part of every exchange matrix is recovered from the
     root and coroot configurations: entry (i,j) is the pairing of the root
-    at j against the coroot at i, negated when i < j."""
+    at j against the coroot at i, negated when i < j.  Each root of the
+    system is converted to weight coordinates once per check."""
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
+    coroot = coroot_of_root(cartan)
+    # <root, coroot> is the coroot dotted with the root's weight image
+    weight_of = {beta: root_to_weight_coords(cartan, beta) for beta in coroot}
     for node in _sorted_nodes(corr):
         bpr = principal_part(node.seed.matrix)
-        # <root, coroot> is the coroot dotted with the root's weight image
-        images = {j: root_to_weight_coords(cartan, node.table.roots[j - 1])
-                  for j in node.facet}
+        images = {j: weight_of[node.table.roots[j - 1]] for j in node.facet}
         for i in node.facet:
-            coroot = node.table.coroots[i - 1]
+            coroot_i = coroot[node.table.roots[i - 1]]
             for j in node.facet:
                 s, t = node.pos_to_slot[i], node.pos_to_slot[j]
                 if i == j:
                     expected = 0
                 else:
-                    value = sum(a * b for a, b in zip(coroot, images[j]))
+                    value = sum(a * b for a, b in zip(coroot_i, images[j]))
                     expected = -value if i < j else value
                 if bpr[s - 1][t - 1] != expected:
                     return _report("exchange", cartan, c, started, {
@@ -590,15 +594,18 @@ def check_names(cartan: CartanMatrix) -> tuple[str, ...]:
 def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
                ) -> tuple[Report, ...]:
     """Run the named checks (all applicable ones by default) and return the
-    reports in registry order regardless of parallelism."""
+    reports in the order asked for, regardless of parallelism.  An empty
+    selection or an unknown name raises ValueError."""
     available = dict(_CHECKS)
     if type_label(cartan).startswith("A"):
         available["typea"] = lambda ca, word: check_typea_models(ca.n, word)
     selected = list(names) if names is not None else list(check_names(cartan))
+    choices = f"choose from {', '.join(available)}"
+    if not selected:
+        raise ValueError(f"no check selected; {choices}")
     for name in selected:
         if name not in available:
-            raise ValueError(f"unknown check {name!r}; choose from "
-                             f"{', '.join(available)}")
+            raise ValueError(f"unknown check {name!r}; {choices}")
     tasks = [(name, available[name]) for name in selected]
     if jobs > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

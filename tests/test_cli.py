@@ -8,6 +8,8 @@ import pytest
 
 from clusterbrick.cli import _jsonable, main, root_string
 from clusterbrick.polytope import LatticePolytope
+from clusterbrick.roots import cartan_of_type
+from clusterbrick.verify import run_checks
 
 
 def run(capsys, *argv):
@@ -109,6 +111,18 @@ def test_jobs_below_one_is_rejected(capsys, jobs):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --jobs" in err
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_empty_check_list_is_rejected(capsys, checks):
+    code, out, err = run(capsys, "verify", "--type", "A2", "--checks", checks)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no check selected; choose from c-vectors")
+
+
+def test_run_checks_rejects_an_empty_selection():
+    with pytest.raises(ValueError, match="no check selected"):
+        run_checks(cartan_of_type("A", 2), (1, 2), ())
 
 
 def test_resource_limit_exits_3(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from clusterbrick.errors import InexactDivision, InvariantViolation
 from clusterbrick.roots import cartan_of_type, positive_roots
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly,
-                                  all_cluster_variables, c_vector, c_vectors, cluster_key, d_vector,
+                                  all_cluster_variables, c_vectors, cluster_key, d_vector,
                                   enumerate_seeds, exact_div, f_polynomial,
                                   format_fpoly, format_laurent, g_from_F,
                                   g_vector, initial_matrix, initial_seed,
@@ -67,7 +67,7 @@ def test_initial_matrix_goldens():
 
 def test_initial_seed_shape():
     seed = initial_seed(A2, (1, 2))
-    assert seed.frozen == ((1, 0), (0, 1))
+    assert c_vectors(seed) == ((1, 0), (0, 1))
     assert seed.variables == (mono(4, (1, 0, 0, 0)), mono(4, (0, 1, 0, 0)))
     assert principal_part(seed.matrix) == ((0, 1), (-1, 0))
 
@@ -75,7 +75,7 @@ def test_initial_seed_shape():
 def test_first_mutation_golden():
     seed = mutate(initial_seed(A2, (1, 2)), 1)
     assert seed.matrix == ((0, -1), (1, 0), (-1, 1), (0, 1))
-    assert seed.frozen == ((-1, 0), (1, 1))
+    assert c_vectors(seed) == ((-1, 0), (1, 1))
     # new first variable is (x2 + y1) / x1
     assert seed.variables[0] == MPoly(4, {(-1, 1, 0, 0): 1, (-1, 0, 1, 0): 1})
 
@@ -85,7 +85,7 @@ def test_pentagon_walk_goldens():
     walk = [seed]
     for i in (1, 2, 1, 2, 1):
         walk.append(mutate(walk[-1], i))
-    assert [(s.matrix, s.frozen) for s in walk] == [
+    assert [(s.matrix, c_vectors(s)) for s in walk] == [
         (((0, 1), (-1, 0), (1, 0), (0, 1)), ((1, 0), (0, 1))),
         (((0, -1), (1, 0), (-1, 1), (0, 1)), ((-1, 0), (1, 1))),
         (((0, 1), (-1, 0), (0, -1), (1, -1)), ((0, 1), (-1, -1))),
@@ -102,7 +102,7 @@ def test_pentagon_walk_goldens():
 def test_pentagon_coefficient_pairs():
     seeds = enumerate_seeds(A2, (1, 2))
     assert len(seeds) == 5
-    got = {frozenset(s.frozen) for s in seeds}
+    got = {frozenset(c_vectors(s)) for s in seeds}
     assert got == {
         frozenset({(1, 0), (0, 1)}),
         frozenset({(-1, 0), (1, 1)}),
@@ -165,14 +165,6 @@ def test_exchange_memo_rejects_foreign_variables():
     assert memo.intern(mono(2, (1, 0))) is x
     with pytest.raises(InvariantViolation):
         memo.index(mono(2, (1, 0)))
-
-
-def test_frozen_tracks_coefficient_columns():
-    for cartan, c in [(A2, (1, 2)), (B2, (1, 2)), (A3, (2, 1, 3))]:
-        for seed in enumerate_seeds(cartan, c):
-            for i in range(1, cartan.n + 1):
-                assert seed.frozen[i - 1] == c_vector(seed, i)
-            assert c_vectors(seed) == seed.frozen
 
 
 def test_variable_count_and_laurent_positivity():

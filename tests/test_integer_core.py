@@ -4,7 +4,9 @@
 integer routine: kept here as the slow reference, never on a hot path.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,35 @@ def test_cartan_validation_matches_fraction_minors(rows):
     else:
         with pytest.raises(InvalidCartanMatrix):
             CartanMatrix(rows)
+
+
+@pytest.mark.parametrize("family,rank", TYPES)
+def test_symmetrizer_is_positive_integers(family, rank):
+    rows = cartan_of_type(family, rank).rows
+    d = _symmetrizer(rows)
+    assert all(type(x) is int and x > 0 for x in d)
+    assert all(d[s] * rows[s][t] == d[t] * rows[t][s]
+               for s in range(rank) for t in range(rank))
+
+
+def test_package_imports_no_fractions():
+    """The engine is integer-only: no module of the package imports
+    `fractions` (the tests may, for their oracles)."""
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" /
+                      "clusterbrick").glob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_det_adjugate_rejects_non_square():

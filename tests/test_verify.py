@@ -181,15 +181,33 @@ def test_correspondence_catches_a_mutation_that_keeps_the_frozen_vector(
     mutate = verify.mutate
 
     def corrupted(seed, i):
+        # the coefficient rows keep the old c-vector at the slot
         out = mutate(seed, i)
-        frozen = out.frozen[:i - 1] + (seed.frozen[i - 1],) + out.frozen[i:]
-        return dataclasses.replace(out, frozen=frozen)
+        n = seed.n
+        matrix = out.matrix[:n] + tuple(
+            row[:i - 1] + (old[i - 1],) + row[i:]
+            for row, old in zip(out.matrix[n:], seed.matrix[n:]))
+        return dataclasses.replace(out, matrix=matrix)
 
     monkeypatch.setattr(verify, "mutate", corrupted)
     build_correspondence.cache_clear()
     try:
         for cartan, c in [(cartan_of_type("A", 1), (1,)), (A3, (1, 2, 3))]:
             with pytest.raises(InvariantViolation, match="inverse mutation"):
+                build_correspondence(cartan, c)
+    finally:
+        build_correspondence.cache_clear()
+
+
+def test_correspondence_catches_two_facets_with_one_cluster(monkeypatch):
+    """With no comparison of clusters in the walk, a mutation that changes
+    nothing, so that a facet and its neighbour share a cluster, must still
+    be caught, by the d-vectors of the position map."""
+    monkeypatch.setattr(verify, "mutate", lambda seed, i: seed)
+    build_correspondence.cache_clear()
+    try:
+        for cartan, c in [(cartan_of_type("A", 1), (1,)), (A3, (1, 2, 3))]:
+            with pytest.raises(InvariantViolation, match="d-vector"):
                 build_correspondence(cartan, c)
     finally:
         build_correspondence.cache_clear()
