@@ -10,8 +10,7 @@ import argparse
 import json
 import sys
 
-from .cluster import (c_vector, d_vector, f_polynomial, format_fpoly,
-                      format_laurent, g_vector)
+from .cluster import c_vector, d_vector, format_fpoly, format_laurent, g_vector
 from .errors import ClusterBrickError, ResourceLimit
 from .polytope import LatticePolytope
 from .roots import CartanMatrix, cartan_of_type, positive_roots, \
@@ -67,6 +66,8 @@ def _parse_cartan(args) -> CartanMatrix:
     if args.cartan is not None:
         if args.type is not None:
             raise ValueError("give either --type or --cartan, not both")
+        if args.rank is not None:
+            raise ValueError("--rank goes with a bare --type letter, not with --cartan")
         with open(args.cartan, encoding="utf-8") as handle:
             rows = json.load(handle)
         return CartanMatrix(rows)
@@ -138,15 +139,11 @@ def _cmd_seeds(args) -> int:
 def _variable_summaries(cartan: CartanMatrix, c):
     """One record per positive root: F, g, a representative c-vector from
     the first enumerated seed holding the variable, and d."""
-    from .verify import variables_by_root
-
     corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
     n = complex_.n
-    by_root = variables_by_root(cartan, c)
     first_c = {}
-    for facet in sorted(corr.nodes):
-        node = corr.nodes[facet]
+    for facet, node in corr.nodes.items():
         for i in facet:
             if i <= n:
                 continue
@@ -155,10 +152,10 @@ def _variable_summaries(cartan: CartanMatrix, c):
                 first_c[beta] = c_vector(node.seed, node.pos_to_slot[i])
     out = []
     for beta in positive_roots(cartan):
-        var = by_root[beta]
+        var = corr.variables[beta]
         out.append({
             "root": beta, "root_name": root_string(beta),
-            "F": format_fpoly(f_polynomial(var, n)),
+            "F": format_fpoly(corr.f_polynomials[beta]),
             "g": g_vector(var, n), "c": first_c[beta],
             "d": d_vector(var, n)})
     return out
@@ -287,8 +284,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma separated simple reflections; default 1..n")
     parser.add_argument("--emit-json", dest="emit_json",
                         help="also write the result as JSON to this path")
-    parser.add_argument("--jobs", type=_jobs, default=1,
-                        help="worker threads for verification checks, at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--checks",
                            help="comma separated check names, or 'all'")
+            p.add_argument("--jobs", type=_jobs, default=1,
+                           help="worker threads for the checks, at least 1")
     return parser
 
 

@@ -2,16 +2,15 @@
 
 `build_correspondence` consumes the one breadth-first flip walk,
 `subword.walk_flips`, which supplies each facet's root table, and follows
-every flip it yields on the seed side, certifying each undirected flip edge
-once: a tree edge by the mutation that discovers its far facet, a non-tree
-edge by one product check on its first sighting.  The second sighting of
-either needs integers only.  The two seeds must be a mutation pair (extended
-exchange column negated, every other variable identical), which
-makes their exchange binomials equal, so the product certified in one
-direction holds in the other.  Cluster variables are interned, and exact
-quotients and product verdicts memoized by exchange data, in an
-`ExchangeMemo` that lives for one walk.  The checks read the resulting
-nodes.
+every flip it yields on the seed side.  One record, position -> cluster
+variable, is the only place where cluster identity is certified: by its
+d-vector when the position is first seen, by identity of interned objects
+after that.  Each undirected flip edge is certified once for its exchange
+relation: a tree edge by its mutation, a non-tree edge by one product
+check, and the second sighting of either in integers.  Quotients and
+product verdicts are memoized by exchange data in an `ExchangeMemo` that
+lives for one walk.  The checks read the resulting `Correspondence`, which
+also builds each F-polynomial and Newton polytope once, on first use.
 
 Every check returns a Report rather than raising: a failed mathematical
 statement is data (with a counterexample payload), not a crash.  Structural
@@ -25,11 +24,11 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cluster import (ExchangeMemo, FPolynomial, MPoly, Seed, c_vector,
-                      d_vector, exchange_binomial, f_polynomial, g_vector,
-                      initial_seed, mutate, principal_part)
+from .cluster import (ExchangeMemo, MPoly, Seed, c_vector, d_vector,
+                      exchange_binomial, f_polynomial, g_vector, initial_seed,
+                      mutate, principal_part)
 from .coxeter import Word, coxeter_words, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
@@ -87,19 +86,51 @@ class Node:
 
 @dataclass(frozen=True)
 class Correspondence:
+    """One lockstep walk: the complex, its nodes in sorted facet order, and
+    `variables`, positive root -> cluster variable, read from the walk's
+    position record.  The F-polynomials and their Newton polytopes, keyed
+    by positive root too, are computed once, on first use."""
+
     complex_: ClusterComplex
     nodes: dict
+    variables: dict
+
+    @cached_property
+    def f_polynomials(self) -> dict:
+        n = self.complex_.n
+        return {beta: f_polynomial(v, n) for beta, v in self.variables.items()}
+
+    @cached_property
+    def newton_polytopes(self) -> dict:
+        return {beta: LatticePolytope(F.support())
+                for beta, F in self.f_polynomials.items()}
 
 
-def _assert_position_map(complex_: ClusterComplex, node: Node) -> None:
-    n = complex_.n
+def _assert_position_map(complex_: ClusterComplex, node: Node,
+                         by_pos: dict) -> None:
+    """Check every position of a new node against the walk's record.
+
+    A position seen before must hold the identical variable recorded there
+    (variables are interned, so identity is equality).  On a first sighting
+    the variable must have d-vector `pos_root[i]`, and is recorded.  In
+    finite type the d-vector determines the cluster variable, so the record
+    holds the one variable of each position, and each variable is
+    certified once per walk.
+    """
     for i in node.facet:
-        slot = node.pos_to_slot[i]
-        dv = d_vector(node.seed.variables[slot - 1], n)
-        if dv != complex_.pos_root[i - 1]:
+        var = node.seed.variables[node.pos_to_slot[i] - 1]
+        recorded = by_pos.get(i)
+        if recorded is None:
+            dv = d_vector(var, complex_.n)
+            if dv != complex_.pos_root[i - 1]:
+                raise InvariantViolation(
+                    f"facet {node.facet}: variable at position {i} has "
+                    f"d-vector {dv}, expected {complex_.pos_root[i - 1]}")
+            by_pos[i] = var
+        elif recorded is not var:
             raise InvariantViolation(
-                f"facet {node.facet}: variable at position {i} has d-vector "
-                f"{dv}, expected {complex_.pos_root[i - 1]}")
+                f"facet {node.facet}: variable at position {i} is not the "
+                "one recorded for that position")
 
 
 def _assert_same_cluster(node: Node, slot: int, known: Node, j: int,
@@ -110,27 +141,21 @@ def _assert_same_cluster(node: Node, slot: int, known: Node, j: int,
     Mutating `node` at `slot` replaces x_slot by the variable v with
     v * x_slot equal to the exchange binomial, so the known variable at j
     must satisfy that product (the Laurent ring is a domain, so multiplying
-    decides exactly what dividing would), and every other position must
-    carry the same, hence identical, interned variable.  The product's
+    decides exactly what dividing would).  Every other position is shared by
+    the two facets, and both nodes were checked against the same position
+    record, so they carry the identical variable there.  The product's
     verdict depends only on the exchange data and v, so it is computed once
     per memo key.
     """
     v = known.seed.variables[known.pos_to_slot[j] - 1]
-    same = all(
-        known.seed.variables[known.pos_to_slot[k] - 1]
-        is node.seed.variables[node.pos_to_slot[k] - 1]
-        for k in known.facet if k != j)
-    if same:
-        key = memo.exchange_key(node.seed, slot) + (memo.index(v),)
-        if key not in memo.verdicts:
-            same = v * node.seed.variables[slot - 1] == exchange_binomial(
-                node.seed, slot)
-            if same:
-                memo.verdicts.add(key)
-    if not same:
+    key = memo.exchange_key(node.seed, slot) + (memo.index(v),)
+    if key in memo.verdicts:
+        return
+    if v * node.seed.variables[slot - 1] != exchange_binomial(node.seed, slot):
         raise InvariantViolation(
             f"walk desynchronized at facet {known.facet}: two paths give "
             "different clusters")
+    memo.verdicts.add(key)
 
 
 def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
@@ -140,8 +165,9 @@ def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
     At the exchanged slots s and t the extended exchange column at t must
     be the negation of that at s (exchange rows read through the position
     maps, position j standing for i; the coefficient rows, which hold the
-    c-vector, directly), and every other position must hold the identical
-    variable.  Then the positive and negative parts of the two exchange
+    c-vector, directly).  Every other position holds the identical variable
+    in both seeds, since both nodes were checked against the same position
+    record.  Then the positive and negative parts of the two exchange
     binomials trade places, so the two binomials are equal.
     """
     s, t = node.pos_to_slot[i], known.pos_to_slot[j]
@@ -152,55 +178,42 @@ def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
         == -seed.matrix[node.pos_to_slot[k] - 1][s - 1] for k in node.facet)
     ok = ok and all(other.matrix[r][t - 1] == -seed.matrix[r][s - 1]
                     for r in range(n, 2 * n))
-    ok = ok and all(
-        other.variables[known.pos_to_slot[k] - 1]
-        is seed.variables[node.pos_to_slot[k] - 1]
-        for k in node.facet if k != i)
     if not ok:
         raise InvariantViolation(
             f"walk desynchronized at facet {known.facet}: the flip back from "
             f"{node.facet} is not the inverse mutation")
 
 
-# Walks kept by the caches of build_correspondence and variables_by_root:
-# enough for every check of one Coxeter word, not for a whole sweep.
-_WALKS_KEPT = 4
-
-
-@lru_cache(maxsize=_WALKS_KEPT)
+# Enough walks for every check of one Coxeter word, not for a whole sweep.
+@lru_cache(maxsize=4)
 def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     """Seeds mutated in lockstep with the facet flips of `walk_flips`.
 
     Flipping position i of a facet corresponds to mutating the seed at the
     slot holding the variable of position i; the map position -> slot is
-    carried along and re-verified at every vertex through the bijection
-    between d-vectors and the almost positive roots attached to positions.
+    carried along, and every new node is checked against the position
+    record by `_assert_position_map`.  The walk raises if a position is
+    never reached.  The record at the positions beyond the first n, whose
+    almost positive roots are the positive roots, is `variables`.
 
-    Each undirected flip edge is certified exactly once, so the result does
-    not depend on the path.  A flip into a new facet mutates.  The first
-    sighting of a flip into a facet found earlier checks the exchange
-    relation against that facet's cluster by one product.  The second
-    sighting of any edge (the reverse of a tree edge, or the far end of a
-    non-tree edge) checks in integers that the two seeds are related by the
-    involution; that makes the two exchange binomials equal, so the product
-    certified in the other direction holds in this one.  The walk is
-    breadth first, so an edge into a facet discovered before the current
-    one is a second sighting.
+    Each undirected flip edge is certified once for its exchange relation,
+    so the result does not depend on the path.  A flip into a new facet
+    mutates.  The first sighting of a flip into a facet found earlier is
+    one product check (`_assert_same_cluster`); the second sighting of any
+    edge, which in breadth-first order is a flip into a facet discovered
+    before the current one, is an integer check (`_assert_involution`).
 
-    No two facets share a cluster, and no clusters are compared:
-    `_assert_position_map` proves at every node that the d-vectors of its
-    cluster are {pos_root[i] : i in facet}, and `build_complex` asserts that
-    `pos_root` is injective, so the cluster determines the facet.
-
-    Variables are interned, and exact quotients and product verdicts
-    memoized by exchange data, in an `ExchangeMemo` created here and
-    dropped with the walk: the returned seeds carry no memo.
+    No clusters are compared: the record gives position i one variable, of
+    d-vector pos_root[i], and `build_complex` asserts that `pos_root` is
+    injective, so the cluster determines the facet.  The walk's
+    `ExchangeMemo` is dropped with it: the returned seeds carry no memo.
     """
     complex_ = build_complex(cartan, c)
-    n = complex_.n
+    n, m = complex_.n, complex_.m
     memo = ExchangeMemo()
     nodes: dict[Facet, Node] = {}
     order: dict[Facet, int] = {}
+    by_pos: dict[int, MPoly] = {}
     for facet, i, new_facet, j, new_table in walk_flips(complex_):
         if facet is None:
             new_node = Node(new_facet, new_table,
@@ -219,46 +232,26 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
             new_map = {k: s for k, s in node.pos_to_slot.items() if k != i}
             new_map[j] = slot
             new_node = Node(new_facet, new_table, mutate(node.seed, slot), new_map)
-        _assert_position_map(complex_, new_node)
+        _assert_position_map(complex_, new_node, by_pos)
         order[new_facet] = len(order)
         nodes[new_facet] = new_node
     fam = _family_rank(cartan)
     if fam is not None and len(nodes) != w_catalan(*fam):
         raise InvariantViolation(
             f"{len(nodes)} facets, expected {w_catalan(*fam)}")
-    return Correspondence(complex_, {
-        facet: replace(node, seed=replace(node.seed, memo=None))
-        for facet, node in nodes.items()})
+    if len(by_pos) != m:
+        raise InvariantViolation(f"{len(by_pos)} positions reached, expected {m}")
+    return Correspondence(
+        complex_,
+        {facet: replace(nodes[facet], seed=replace(nodes[facet].seed, memo=None))
+         for facet in sorted(nodes)},
+        {complex_.pos_root[i - 1]: by_pos[i] for i in range(n + 1, m + 1)})
 
 
-def _sorted_nodes(corr: Correspondence) -> list:
-    return [corr.nodes[f] for f in sorted(corr.nodes)]
-
-
-@lru_cache(maxsize=_WALKS_KEPT)
 def variables_by_root(cartan: CartanMatrix, c: Word) -> dict:
-    """Map each positive root to its cluster variable via the position whose
-    almost positive root it is, checking that all facets agree."""
-    corr = build_correspondence(cartan, c)
-    complex_ = corr.complex_
-    n = complex_.n
-    out: dict[Vec, MPoly] = {}
-    for node in _sorted_nodes(corr):
-        for i in node.facet:
-            if i <= n:
-                continue
-            beta = complex_.pos_root[i - 1]
-            var = node.seed.variables[node.pos_to_slot[i] - 1]
-            if beta in out:
-                if out[beta] != var:
-                    raise InvariantViolation(
-                        f"two different variables claim root {beta}")
-            else:
-                out[beta] = var
-    if len(out) != complex_.positive_count:
-        raise InvariantViolation(
-            f"{len(out)} roots realized, expected {complex_.positive_count}")
-    return out
+    """Map each positive root to its cluster variable: the `variables` of
+    the walk's position record, so every facet agrees by construction."""
+    return build_correspondence(cartan, c).variables
 
 
 def _report(name: str, cartan: CartanMatrix, c: Word, started: float,
@@ -272,7 +265,7 @@ def check_c_vectors(cartan: CartanMatrix, c: Word) -> Report:
     form a lattice basis (determinant of absolute value one) at every facet."""
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
-    for node in _sorted_nodes(corr):
+    for node in corr.nodes.values():
         rows = []
         for i in node.facet:
             expected = node.table.roots[i - 1]
@@ -302,7 +295,7 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
     corr = build_correspondence(cartan, c)
     n = corr.complex_.n
     coroot = coroot_of_root(cartan)
-    for node in _sorted_nodes(corr):
+    for node in corr.nodes.values():
         positions = list(node.facet)
         for i in positions:
             expected = node.table.weights[i - 1]
@@ -333,7 +326,7 @@ def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
     coroot = coroot_of_root(cartan)
     # <root, coroot> is the coroot dotted with the root's weight image
     weight_of = {beta: root_to_weight_coords(cartan, beta) for beta in coroot}
-    for node in _sorted_nodes(corr):
+    for node in corr.nodes.values():
         bpr = principal_part(node.seed.matrix)
         images = {j: weight_of[node.table.roots[j - 1]] for j in node.facet}
         for i in node.facet:
@@ -355,18 +348,18 @@ def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
 def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     """Weight rigidity and monotonicity along the flip graph.
 
-    Shared positions of adjacent facets carry equal weights, so each column
-    takes a single value on the facets containing it; along every increasing
-    flip the whole weight column moves down by an element of the positive
-    root cone; and the greedy-minus-antigreedy weight difference of a column
-    beyond the first n is exactly its positive root.
+    Each column takes a single value on the facets containing it (so the
+    shared positions of adjacent facets carry equal weights); along every
+    increasing flip the whole weight column moves down by an element of the
+    positive root cone; and the greedy-minus-antigreedy weight difference of
+    a column beyond the first n is exactly its positive root.
     """
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
     n, m = complex_.n, complex_.m
     common: dict[int, Vec] = {}
-    for node in _sorted_nodes(corr):
+    for node in corr.nodes.values():
         for i in node.facet:
             w = node.table.weights[i - 1]
             if i in common:
@@ -377,20 +370,11 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
                         "expected": common[i], "actual": w})
             else:
                 common[i] = w
-    for node in _sorted_nodes(corr):
+    for node in corr.nodes.values():
         for i in node.facet:
             new_facet, j = flip(complex_, node.facet, i, node.table)
-            other = corr.nodes[new_facet]
-            for k in node.facet:
-                if k == i:
-                    continue
-                if node.table.weights[k - 1] != other.table.weights[k - 1]:
-                    return _report("lemmas", cartan, c, started, {
-                        "lemma": "rigidity on shared positions",
-                        "facet": node.facet, "flip": (i, j), "position": k,
-                        "expected": node.table.weights[k - 1],
-                        "actual": other.table.weights[k - 1]})
             if i < j:
+                other = corr.nodes[new_facet]
                 for k in range(1, m + 1):
                     hi, lo = node.table.weights[k - 1], other.table.weights[k - 1]
                     if hi == lo:
@@ -417,10 +401,6 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     return _report("lemmas", cartan, c, started, None)
 
 
-def _newton_polytope(F: FPolynomial) -> LatticePolytope:
-    return LatticePolytope(F.support())
-
-
 def _weight_column_hull(corr: Correspondence, k: int) -> LatticePolytope:
     """Hull of the weights at position k minus the antigreedy one, in root
     coordinates; each distinct weight is converted once."""
@@ -437,11 +417,9 @@ def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
-    n, m = complex_.n, complex_.m
-    by_root = variables_by_root(cartan, c)
-    for k in range(n + 1, m + 1):
+    for k in range(complex_.n + 1, complex_.m + 1):
         beta = complex_.pos_root[k - 1]
-        newton = _newton_polytope(f_polynomial(by_root[beta], n))
+        newton = corr.newton_polytopes[beta]
         column = _weight_column_hull(corr, k)
         if newton != column:
             return _report("newton", cartan, c, started, {
@@ -457,13 +435,10 @@ def check_lattice_points(cartan: CartanMatrix, c: Word) -> Report:
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
-    n = complex_.n
-    by_root = variables_by_root(cartan, c)
-    for k in range(n + 1, complex_.m + 1):
+    for k in range(complex_.n + 1, complex_.m + 1):
         beta = complex_.pos_root[k - 1]
-        F = f_polynomial(by_root[beta], n)
-        support = set(F.support())
-        points = set(_newton_polytope(F).lattice_points())
+        support = set(corr.f_polynomials[beta].support())
+        points = set(corr.newton_polytopes[beta].lattice_points())
         if support != points:
             return _report("lattice", cartan, c, started, {
                 "root": beta, "position": k,
@@ -486,15 +461,12 @@ def check_minkowski_brick(cartan: CartanMatrix, c: Word) -> Report:
         return _report("minkowski", cartan, c, started, payload)
     corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
-    n = complex_.n
-    by_root = variables_by_root(cartan, c)
-    summands = [_newton_polytope(f_polynomial(by_root[beta], n))
-                for beta in sorted(by_root)]
-    total = minkowski_sum(summands)
+    total = minkowski_sum([corr.newton_polytopes[beta]
+                           for beta in sorted(corr.newton_polytopes)])
     in_weight = LatticePolytope(
         [root_to_weight_coords(cartan, v) for v in total.vertices])
     bricks = LatticePolytope([brick_vector(complex_, node.facet, node.table)
-                              for node in _sorted_nodes(corr)])
+                              for node in corr.nodes.values()])
     shift = equal_up_to_translation(in_weight, bricks)
     ag = brick_vector(complex_, antigreedy_facet(complex_),
                       corr.nodes[antigreedy_facet(complex_)].table)
@@ -540,12 +512,11 @@ def check_typea_models(n: int, c: Word | None = None) -> Report:
     for word in words:
         corr = build_correspondence(cartan, word)
         complex_ = corr.complex_
-        by_root = variables_by_root(cartan, word)
         tri = triangulation_of_coxeter(word)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 beta = tuple(1 if i <= t + 1 <= j else 0 for t in range(n))
-                from_mutation = f_polynomial(by_root[beta], n)
+                from_mutation = corr.f_polynomials[beta]
                 from_tpaths = f_poly_via_tpaths(tri, i, j)
                 from_prefixes = f_poly_via_prefixes(word, i, j)
                 if not (from_mutation == from_tpaths == from_prefixes):
@@ -581,14 +552,14 @@ _CHECKS = (
     ("newton", check_newton_conjecture),
     ("lattice", check_lattice_points),
     ("minkowski", check_minkowski_brick),
+    ("typea", lambda cartan, c: check_typea_models(cartan.n, c)),
 )
 
 
 def check_names(cartan: CartanMatrix) -> tuple[str, ...]:
-    names = [name for name, _ in _CHECKS]
-    if type_label(cartan).startswith("A"):
-        names.append("typea")
-    return tuple(names)
+    """The checks that apply to `cartan`: all of them, typea in type A only."""
+    type_a = type_label(cartan).startswith("A")
+    return tuple(name for name, _ in _CHECKS if type_a or name != "typea")
 
 
 def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
@@ -596,19 +567,18 @@ def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
     """Run the named checks (all applicable ones by default) and return the
     reports in the order asked for, regardless of parallelism.  An empty
     selection or an unknown name raises ValueError."""
-    available = dict(_CHECKS)
-    if type_label(cartan).startswith("A"):
-        available["typea"] = lambda ca, word: check_typea_models(ca.n, word)
-    selected = list(names) if names is not None else list(check_names(cartan))
+    available = check_names(cartan)
+    selected = list(names) if names is not None else list(available)
     choices = f"choose from {', '.join(available)}"
     if not selected:
         raise ValueError(f"no check selected; {choices}")
     for name in selected:
         if name not in available:
             raise ValueError(f"unknown check {name!r}; {choices}")
-    tasks = [(name, available[name]) for name in selected]
+    table = dict(_CHECKS)
+    tasks = [table[name] for name in selected]
     if jobs > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, cartan, tuple(c)) for _, fn in tasks]
+            futures = [pool.submit(fn, cartan, tuple(c)) for fn in tasks]
             return tuple(f.result() for f in futures)
-    return tuple(fn(cartan, tuple(c)) for _, fn in tasks)
+    return tuple(fn(cartan, tuple(c)) for fn in tasks)

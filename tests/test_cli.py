@@ -103,6 +103,28 @@ def test_cartan_file_entries_must_be_integers(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+def test_rank_is_rejected_with_a_cartan_file(tmp_path, capsys):
+    path = tmp_path / "a1xa1.json"
+    path.write_text("[[2, 0], [0, 2]]")
+    code, out, err = run(capsys, "facets", "--cartan", str(path), "--rank", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rank")
+
+
+@pytest.mark.parametrize("argv", [
+    ("facets", "--type", "A2"),
+    ("seeds", "--type", "A2"),
+    ("fpoly", "--type", "A2"),
+    ("brick", "--type", "A2"),
+    ("tpaths", "--type", "A3", "--root", "1,2"),
+])
+def test_jobs_belongs_to_verify_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["-3", "0", "x"])
 def test_jobs_below_one_is_rejected(capsys, jobs):
     with pytest.raises(SystemExit) as exc:

@@ -230,12 +230,58 @@ def test_walk_interns_every_variable():
             oracle = {frozenset(seed.variables)
                       for seed in enumerate_seeds(cartan, c)}
             assert clusters == oracle
+            assert set(corr.variables.values()) == (
+                set().union(*oracle) - set(initial_seed(cartan, c).variables))
 
 
 def test_walk_caches_are_bounded():
-    for cached in (build_correspondence, variables_by_root):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 8
+    """The walk is the only cache: `variables_by_root` reads its record."""
+    maxsize = build_correspondence.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 8
+    assert not hasattr(variables_by_root, "cache_info")
+    for c in coxeter_words(A3):
+        assert variables_by_root(A3, c) is build_correspondence(A3, c).variables
+
+
+@pytest.mark.parametrize("c, checks", [
+    ((1, 2, 3), ("newton", "lattice", "minkowski")),
+    ((1, 3, 2), None),
+])
+def test_each_f_polynomial_is_built_once_per_walk(monkeypatch, c, checks):
+    """A3 has 6 positive roots: the checks share one F-polynomial each."""
+    counts = _count_calls(monkeypatch, ("f_polynomial",))
+    build_correspondence.cache_clear()
+    try:
+        reports = run_checks(A3, c, checks)
+    finally:
+        build_correspondence.cache_clear()
+    assert all(r.passed for r in reports), reports
+    assert counts["f_polynomial"] == len(positive_roots(A3)) == 6
+
+
+def test_correspondence_catches_a_variable_that_leaves_its_position(
+        monkeypatch):
+    """A mutation that also multiplies an untouched slot's variable by y1
+    keeps that variable's d-vector; the position record must still see that
+    it is not the variable recorded at its position."""
+    mutate = verify.mutate
+
+    def corrupted(seed, i):
+        out = mutate(seed, i)
+        k = 2 if i == 1 else 1
+        y1 = MPoly.monomial(2 * seed.n, (0,) * seed.n + (1,) + (0,) * (seed.n - 1))
+        variables = list(out.variables)
+        variables[k - 1] = variables[k - 1] * y1
+        return dataclasses.replace(out, variables=tuple(variables))
+
+    monkeypatch.setattr(verify, "mutate", corrupted)
+    build_correspondence.cache_clear()
+    try:
+        for c in [(1, 2), (1, 2, 3)]:
+            with pytest.raises(InvariantViolation, match="position"):
+                build_correspondence(cartan_of_type("A", len(c)), c)
+    finally:
+        build_correspondence.cache_clear()
 
 
 def test_lemmas_skips_identical_weight_pairs(monkeypatch):
