@@ -4,16 +4,13 @@ computed through subword complexes, root configurations, and brick polytopes.
 Everything is integer arithmetic; no fractions and no floats anywhere.
 """
 
-from .cluster import (FPolynomial, MPoly, Seed, all_cluster_variables,
-                      c_vector, c_vectors, cluster_key, d_vector,
-                      enumerate_seeds, exact_div, exchange_binomial,
-                      f_polynomial, format_fpoly, format_laurent, g_from_F,
-                      g_vector, initial_matrix, initial_seed, mutate,
-                      principal_part, tropical_add, variable_from_g_and_F,
-                      variable_names)
+from .cluster import (FPolynomial, MPoly, Seed, c_vector, c_vectors, d_vector,
+                      exact_div, exchange_binomial, f_polynomial, format_fpoly,
+                      format_laurent, g_vector, initial_matrix, initial_seed,
+                      mutate, principal_part, tropical_add, variable_names)
 from .coxeter import (c_sorting_word, canonical_commutation_word, coxeter_words,
                       element_of_word, is_reduced, length, longest_element,
-                      restricted_prefixes, word_action_root, word_action_weight)
+                      restricted_prefixes)
 from .errors import (ClusterBrickError, DimensionMismatch, InexactDivision,
                      InvalidCartanMatrix, InvalidCartanType, InvariantViolation,
                      NotInRootLattice, ResourceLimit)
@@ -25,15 +22,13 @@ from .roots import (CartanMatrix, cartan_of_type, coroot_of_root,
                     root_to_weight_coords, transpose, w_catalan,
                     weight_diff_to_root_coords)
 from .subword import (ClusterComplex, RootTable, antigreedy_facet, brick_vector,
-                      brute_force_facets, build_complex, enumerate_facets,
+                      build_complex, enumerate_facets,
                       enumerate_facets_with_tables, flip, greedy_facet,
-                      is_facet, root_function, root_table, update_after_flip,
-                      walk_flips, weight_function)
+                      is_facet, root_table, update_after_flip, walk_flips)
 from .typea import (CrossingDiagonal, TPath, Triangulation,
                     ambient_representative, boundary_letter, diagonal_of_root,
                     enumerate_tpaths, f_poly_via_prefixes, f_poly_via_tpaths,
-                    flip_tpath, loday_summands, monomial_of_tpath,
-                    triangulation_of_coxeter)
+                    flip_tpath, monomial_of_tpath, triangulation_of_coxeter)
 from .verify import (Report, build_correspondence, check_c_vectors,
                      check_exchange_matrix, check_g_vectors,
                      check_lattice_points, check_lemmas, check_minkowski_brick,

@@ -62,6 +62,16 @@ def root_string(v) -> str:
     return head + "".join(sign + body for sign, body in parts[1:])
 
 
+def _natural(text: str, flag: str) -> int:
+    """`text` as an int when, stripped of surrounding spaces, it is ASCII
+    digits; int() alone would also take signs, underscores and other
+    scripts' digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{flag} expects ASCII digits, got {text!r}")
+    return int(digits)
+
+
 def _parse_cartan(args) -> CartanMatrix:
     if args.cartan is not None:
         if args.type is not None:
@@ -74,15 +84,15 @@ def _parse_cartan(args) -> CartanMatrix:
     if args.type is None:
         raise ValueError("one of --type or --cartan is required")
     label = args.type.strip().upper()
-    if len(label) > 1 and label[1:].isdigit():
-        family, rank = label[0], int(label[1:])
-        if args.rank is not None and args.rank != rank:
+    family, tail = label[:1], label[1:]
+    rank = None if args.rank is None else _natural(args.rank, "--rank")
+    if tail:
+        type_rank = _natural(tail, "--type")
+        if rank is not None and rank != type_rank:
             raise ValueError(f"--type {args.type} conflicts with --rank {args.rank}")
-    else:
-        family = label
-        if args.rank is None:
-            raise ValueError("--rank is required when --type is a bare family letter")
-        rank = args.rank
+        rank = type_rank
+    elif rank is None:
+        raise ValueError("--rank is required when --type is a bare family letter")
     return cartan_of_type(family, rank)
 
 
@@ -90,7 +100,7 @@ def _parse_coxeter(args, n: int):
     if args.coxeter is None:
         return tuple(range(1, n + 1))
     try:
-        word = tuple(int(x) for x in args.coxeter.split(","))
+        word = tuple(_natural(x, "--coxeter") for x in args.coxeter.split(","))
     except ValueError:
         raise ValueError(f"--coxeter must be comma-separated integers, got {args.coxeter!r}")
     if sorted(word) != list(range(1, n + 1)):
@@ -211,7 +221,7 @@ def _cmd_tpaths(args) -> int:
     n = cartan.n
     c = _parse_coxeter(args, n)
     try:
-        i, j = (int(x) for x in args.root.split(","))
+        i, j = (_natural(x, "--root") for x in args.root.split(","))
     except ValueError:
         raise ValueError(f"--root must be i,j with 1 <= i <= j <= {n}")
     if not 1 <= i <= j <= n:
@@ -267,9 +277,9 @@ def _cmd_verify(args) -> int:
 
 def _jobs(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = _natural(text, "--jobs")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -277,8 +287,7 @@ def _jobs(text: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--type", help="family plus rank, such as B3")
-    parser.add_argument("--rank", type=int,
-                        help="rank when --type is a bare family letter")
+    parser.add_argument("--rank", help="rank when --type is a bare family letter")
     parser.add_argument("--cartan", help="path to a JSON matrix file")
     parser.add_argument("--coxeter",
                         help="comma separated simple reflections; default 1..n")

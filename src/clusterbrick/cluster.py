@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from operator import add, sub
 
 from .errors import (DimensionMismatch, InexactDivision, InvariantViolation,
                      ResourceLimit)
-from .polytope import convex_hull_vertices
 from .roots import CartanMatrix, Vec
 
 _WIDTH = 16
@@ -546,73 +544,6 @@ def f_polynomial(p: MPoly, n: int) -> FPolynomial:
         collected[y] = collected.get(y, 0) + c
     unpack = _layout(p.nvars - n).unpack
     return FPolynomial(n, {unpack(y): c for y, c in collected.items()})
-
-
-def variable_from_g_and_F(cartan: CartanMatrix, c, g: Vec, F: FPolynomial) -> MPoly:
-    """Reassemble a variable from its g-vector and F-polynomial.
-
-    Each F term y^v contributes x^(B v + g) y^v, with B the initial exchange
-    block for c.
-    """
-    n = cartan.n
-    top = principal_part(initial_matrix(cartan, c))
-    terms = {}
-    for v, coeff in F.terms.items():
-        xs = tuple(sum(top[s][t] * v[t] for t in range(n)) + g[s] for s in range(n))
-        terms[xs + v] = coeff
-    return MPoly(2 * n, terms)
-
-
-def g_from_F(cartan: CartanMatrix, c, F: FPolynomial, dvec: Vec) -> Vec:
-    """g-vector from the F-polynomial and the d-vector.
-
-    g = (componentwise max of -B v over the support of F) - d, with d read in
-    simple-root coordinates.  The max is computed twice, over the whole
-    support and over the vertices of its convex hull, and the two must agree.
-    """
-    n = cartan.n
-    top = principal_part(initial_matrix(cartan, c))
-
-    def image(vs):
-        pts = [tuple(-sum(top[s][t] * v[t] for t in range(n)) for s in range(n))
-               for v in vs]
-        return tuple(max(p[s] for p in pts) for s in range(n))
-
-    full = image(F.terms.keys())
-    hull = image(convex_hull_vertices(F.terms.keys()))
-    if full != hull:
-        raise InvariantViolation("componentwise max differs between support and hull")
-    return tuple(a - b for a, b in zip(full, dvec))
-
-
-def cluster_key(seed: Seed) -> frozenset:
-    """Unordered fingerprint of the cluster (the variable set)."""
-    return frozenset((p.nvars, frozenset(p._t.items())) for p in seed.variables)
-
-
-def enumerate_seeds(cartan: CartanMatrix, c, cap: int = 100000) -> tuple[Seed, ...]:
-    """One seed per cluster, by breadth-first mutation from the initial seed."""
-    start = initial_seed(cartan, c)
-    found = {cluster_key(start): start}
-    queue = deque([start])
-    while queue:
-        seed = queue.popleft()
-        for i in range(1, seed.n + 1):
-            nxt = mutate(seed, i)
-            key = cluster_key(nxt)
-            if key not in found:
-                if len(found) >= cap:
-                    raise InvariantViolation(f"more than {cap} clusters")
-                found[key] = nxt
-                queue.append(nxt)
-    return tuple(found.values())
-
-
-def all_cluster_variables(cartan: CartanMatrix, c) -> set[MPoly]:
-    out: set[MPoly] = set()
-    for seed in enumerate_seeds(cartan, c):
-        out.update(seed.variables)
-    return out
 
 
 def _format_monomial(exponents, names) -> str:

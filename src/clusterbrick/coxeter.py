@@ -79,20 +79,6 @@ def element_of_word(cartan: CartanMatrix, word: Word) -> Matrix:
     return acc
 
 
-def word_action_root(cartan: CartanMatrix, word: Word, v: Vec) -> Vec:
-    """Apply the element of `word` to v in simple-root coordinates."""
-    for s in reversed(word):
-        v = reflect_root(cartan, s, v)
-    return v
-
-
-def word_action_weight(cartan: CartanMatrix, word: Word, v: Vec) -> Vec:
-    """Apply the element of `word` to v in fundamental-weight coordinates."""
-    for s in reversed(word):
-        v = reflect_weight(cartan, s, v)
-    return v
-
-
 def _is_negative(v: Vec) -> bool:
     return all(x <= 0 for x in v) and any(x < 0 for x in v)
 

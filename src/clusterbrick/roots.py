@@ -306,33 +306,15 @@ def height(v: Vec) -> int:
     return sum(v)
 
 
-_CLOSURE_SWEEP_FACTOR = 10
-
-
 @functools.lru_cache(maxsize=None)
 def positive_roots(cartan: CartanMatrix) -> tuple[Vec, ...]:
     """All positive roots in simple-root coordinates, sorted by (height, lex).
 
-    Computed as the simple-reflection closure of the simple roots, keeping
-    the positive vectors; the sweep count is hard-capped so a non-finite
-    input fails loudly instead of looping.
+    Every root lies in the orbit of the simple roots, which
+    `coroot_of_root` closes; the positive ones are its nonnegative keys.
     """
-    n = cartan.n
-    simples = [tuple(1 if t == s else 0 for t in range(n)) for s in range(n)]
-    known = set(simples)
-    for _ in range(_CLOSURE_SWEEP_FACTOR * n * n):
-        new = set()
-        for beta in known:
-            for s in range(1, n + 1):
-                img = reflect_root(cartan, s, beta)
-                if img not in known and all(x >= 0 for x in img):
-                    new.add(img)
-        if not new:
-            break
-        known |= new
-    else:
-        raise InvalidCartanMatrix("positive-root closure did not terminate; input is not finite type")
-    return tuple(sorted(known, key=lambda v: (height(v), v)))
+    positive = (v for v in coroot_of_root(cartan) if all(x >= 0 for x in v))
+    return tuple(sorted(positive, key=lambda v: (height(v), v)))
 
 
 @functools.lru_cache(maxsize=None)

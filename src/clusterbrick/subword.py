@@ -20,7 +20,6 @@ import functools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
 
 from .coxeter import (
     Matrix,
@@ -32,8 +31,6 @@ from .coxeter import (
     c_sorting_word,
     reflection_matrices,
     weight_reflection_matrices,
-    word_action_root,
-    word_action_weight,
 )
 from .errors import InvariantViolation
 from .roots import (
@@ -157,36 +154,6 @@ def is_facet(complex_: ClusterComplex, positions: Facet) -> bool:
         if k not in chosen:
             acc = mat_mul(acc, mats[q - 1])
     return acc == complex_.longest
-
-
-def root_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
-    """Product of the complement letters before position k, applied to the
-    simple root of the letter at k."""
-    return _entry(complex_, facet, k, word_action_root, complex_.cartan)
-
-
-def weight_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
-    """Same prefix product applied to the fundamental weight of the letter at k."""
-    return _entry(complex_, facet, k, word_action_weight, complex_.cartan)
-
-
-def coroot_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
-    """Same prefix product applied to the simple coroot of the letter at k,
-    in simple-coroot coordinates."""
-    return _entry(complex_, facet, k, word_action_root, transpose(complex_.cartan))
-
-
-def _entry(complex_: ClusterComplex, facet: Facet, k: int, action,
-           cartan: CartanMatrix) -> Vec:
-    """`action` of the complement letters before position k on the unit
-    vector of the letter at k."""
-    if not 1 <= k <= complex_.m:
-        raise ValueError(f"position {k} out of range 1..{complex_.m}")
-    chosen = set(facet)
-    letters = tuple(complex_.word[p - 1] for p in range(1, k) if p not in chosen)
-    q = complex_.word[k - 1]
-    unit = tuple(1 if t == q - 1 else 0 for t in range(complex_.n))
-    return action(cartan, letters, unit)
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
@@ -351,14 +318,3 @@ def enumerate_facets_with_tables(complex_: ClusterComplex) -> dict[Facet, RootTa
 def enumerate_facets(complex_: ClusterComplex) -> tuple[Facet, ...]:
     """All facets in sorted order."""
     return tuple(sorted(enumerate_facets_with_tables(complex_)))
-
-
-def brute_force_facets(complex_: ClusterComplex) -> tuple[Facet, ...]:
-    """All size-n position sets whose complement spells the longest element.
-
-    `is_facet` on every combination: independent of the flip machinery,
-    exponential in the word length, for cross-checking small ranks only.
-    """
-    positions = range(1, complex_.m + 1)
-    return tuple(combo for combo in combinations(positions, complex_.n)
-                 if is_facet(complex_, combo))

@@ -1,5 +1,5 @@
 """Polygon model for type A: triangulations, crossing paths, and interval
-summands.
+prefixes.
 
 The rank-n data lives on a convex (n+3)-gon with vertices 0..n+2 in
 counterclockwise order; "clockwise from x" means x-1 modulo the size.  A
@@ -274,23 +274,6 @@ def flip_tpath(tri: Triangulation, path: TPath, label: int) -> TPath:
         if cand.signs == target_signs:
             return cand
     raise InvariantViolation(f"no valid path with signs {target_signs}")
-
-
-def loday_summands(c: Word) -> dict[tuple[int, int], tuple[Vec, ...]]:
-    """For each label interval, the indicator vectors of the restricted
-    prefixes: the vertex generators of the interval's summand polytope."""
-    n = len(c)
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            pts = []
-            for prefix in restricted_prefixes(c, i, j):
-                m = [0] * n
-                for s in prefix:
-                    m[s - 1] = 1
-                pts.append(tuple(m))
-            out[(i, j)] = tuple(sorted(set(pts)))
-    return out
 
 
 def ambient_representative(v: Vec, coordinate_sum: int) -> tuple[int, ...]:

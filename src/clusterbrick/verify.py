@@ -10,7 +10,8 @@ relation: a tree edge by its mutation, a non-tree edge by one product
 check, and the second sighting of either in integers.  Quotients and
 product verdicts are memoized by exchange data in an `ExchangeMemo` that
 lives for one walk.  The checks read the resulting `Correspondence`, which
-also builds each F-polynomial and Newton polytope once, on first use.
+also builds each F-polynomial, Newton polytope and weight-column hull once,
+on first use.
 
 Every check returns a Report rather than raising: a failed mathematical
 statement is data (with a counterexample payload), not a crash.  Structural
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache
 from .cluster import (ExchangeMemo, MPoly, Seed, c_vector, d_vector,
                       exchange_binomial, f_polynomial, g_vector, initial_seed,
                       mutate, principal_part)
-from .coxeter import Word, coxeter_words, det_int
+from .coxeter import Word, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
 from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
@@ -88,8 +89,9 @@ class Node:
 class Correspondence:
     """One lockstep walk: the complex, its nodes in sorted facet order, and
     `variables`, positive root -> cluster variable, read from the walk's
-    position record.  The F-polynomials and their Newton polytopes, keyed
-    by positive root too, are computed once, on first use."""
+    position record.  The F-polynomials, their Newton polytopes and the
+    weight-column hulls, keyed by positive root too, are computed once, on
+    first use."""
 
     complex_: ClusterComplex
     nodes: dict
@@ -104,6 +106,21 @@ class Correspondence:
     def newton_polytopes(self) -> dict:
         return {beta: LatticePolytope(F.support())
                 for beta, F in self.f_polynomials.items()}
+
+    @cached_property
+    def column_hulls(self) -> dict:
+        """Hull of the weights at each position beyond the first n, minus
+        the antigreedy one, in root coordinates, keyed by the position's
+        root; each distinct weight is converted once."""
+        complex_ = self.complex_
+        ag = self.nodes[antigreedy_facet(complex_)].table.weights
+        out = {}
+        for k in range(complex_.n + 1, complex_.m + 1):
+            weights = sorted({node.table.weights[k - 1] for node in self.nodes.values()})
+            out[complex_.pos_root[k - 1]] = LatticePolytope(
+                [weight_diff_to_root_coords(complex_.cartan, w, ag[k - 1])
+                 for w in weights])
+        return out
 
 
 def _assert_position_map(complex_: ClusterComplex, node: Node,
@@ -401,16 +418,6 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     return _report("lemmas", cartan, c, started, None)
 
 
-def _weight_column_hull(corr: Correspondence, k: int) -> LatticePolytope:
-    """Hull of the weights at position k minus the antigreedy one, in root
-    coordinates; each distinct weight is converted once."""
-    cartan = corr.complex_.cartan
-    ag = corr.nodes[antigreedy_facet(corr.complex_)].table.weights[k - 1]
-    weights = sorted({node.table.weights[k - 1] for node in corr.nodes.values()})
-    return LatticePolytope([weight_diff_to_root_coords(cartan, w, ag)
-                            for w in weights])
-
-
 def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:
     """Newton polytope of each F-polynomial equals the hull of its weight
     column shifted to start at the antigreedy facet, in root coordinates."""
@@ -420,7 +427,7 @@ def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:
     for k in range(complex_.n + 1, complex_.m + 1):
         beta = complex_.pos_root[k - 1]
         newton = corr.newton_polytopes[beta]
-        column = _weight_column_hull(corr, k)
+        column = corr.column_hulls[beta]
         if newton != column:
             return _report("newton", cartan, c, started, {
                 "root": beta, "position": k,
@@ -499,49 +506,43 @@ def _dominates(cartan: CartanMatrix, hi: Vec, lo: Vec) -> bool:
     return all(x >= 0 for x in diff)
 
 
-def check_typea_models(n: int, c: Word | None = None) -> Report:
+def check_typea_models(n: int, c: Word) -> Report:
     """All three F-polynomial models agree in type A, and every weight
     column realizes the full orbit interval between its greedy and
-    antigreedy values.
-
-    With no Coxeter word given, runs over all of them.
-    """
+    antigreedy values."""
     started = time.monotonic()
     cartan = cartan_of_type("A", n)
-    words = (tuple(c),) if c is not None else coxeter_words(cartan)
-    for word in words:
-        corr = build_correspondence(cartan, word)
-        complex_ = corr.complex_
-        tri = triangulation_of_coxeter(word)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                beta = tuple(1 if i <= t + 1 <= j else 0 for t in range(n))
-                from_mutation = corr.f_polynomials[beta]
-                from_tpaths = f_poly_via_tpaths(tri, i, j)
-                from_prefixes = f_poly_via_prefixes(word, i, j)
-                if not (from_mutation == from_tpaths == from_prefixes):
-                    return _report("typea", cartan, word, started, {
-                        "root": beta, "interval": (i, j),
-                        "mutation": from_mutation.terms,
-                        "tpaths": from_tpaths.terms,
-                        "prefixes": from_prefixes.terms})
-        g_table = corr.nodes[greedy_facet(complex_)].table
-        ag_table = corr.nodes[antigreedy_facet(complex_)].table
-        for k in range(1, complex_.m + 1):
-            realized = {node.table.weights[k - 1]
-                        for node in corr.nodes.values()}
-            q = complex_.word[k - 1]
-            fundamental = tuple(1 if t == q - 1 else 0 for t in range(n))
-            expected = {w for w in _weight_orbit(cartan, fundamental)
-                        if _dominates(cartan, g_table.weights[k - 1], w)
-                        and _dominates(cartan, w, ag_table.weights[k - 1])}
-            if realized != expected:
+    word = tuple(c)
+    corr = build_correspondence(cartan, word)
+    complex_ = corr.complex_
+    tri = triangulation_of_coxeter(word)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            beta = tuple(1 if i <= t + 1 <= j else 0 for t in range(n))
+            from_mutation = corr.f_polynomials[beta]
+            from_tpaths = f_poly_via_tpaths(tri, i, j)
+            from_prefixes = f_poly_via_prefixes(word, i, j)
+            if not (from_mutation == from_tpaths == from_prefixes):
                 return _report("typea", cartan, word, started, {
-                    "position": k,
-                    "realized": sorted(realized),
-                    "interval": sorted(expected)})
-    return _report("typea", cartan, words[0] if len(words) == 1 else (),
-                   started, None)
+                    "root": beta, "interval": (i, j),
+                    "mutation": from_mutation.terms,
+                    "tpaths": from_tpaths.terms,
+                    "prefixes": from_prefixes.terms})
+    g_table = corr.nodes[greedy_facet(complex_)].table
+    ag_table = corr.nodes[antigreedy_facet(complex_)].table
+    for k in range(1, complex_.m + 1):
+        realized = {node.table.weights[k - 1] for node in corr.nodes.values()}
+        q = complex_.word[k - 1]
+        fundamental = tuple(1 if t == q - 1 else 0 for t in range(n))
+        expected = {w for w in _weight_orbit(cartan, fundamental)
+                    if _dominates(cartan, g_table.weights[k - 1], w)
+                    and _dominates(cartan, w, ag_table.weights[k - 1])}
+        if realized != expected:
+            return _report("typea", cartan, word, started, {
+                "position": k,
+                "realized": sorted(realized),
+                "interval": sorted(expected)})
+    return _report("typea", cartan, word, started, None)
 
 
 _CHECKS = (

@@ -14,19 +14,18 @@ import pytest
 from clusterbrick.roots import (cartan_of_type, positive_roots,
                                 root_to_weight_coords, w_catalan)
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import (all_cluster_variables, c_vector, d_vector,
-                                  enumerate_seeds, f_polynomial, g_vector,
+from clusterbrick.cluster import (c_vector, d_vector, f_polynomial, g_vector,
                                   mutate)
 from clusterbrick.subword import (antigreedy_facet, brick_vector,
-                                  brute_force_facets, build_complex,
-                                  enumerate_facets,
-                                  enumerate_facets_with_tables, flip,
-                                  weight_function)
+                                  build_complex, enumerate_facets,
+                                  enumerate_facets_with_tables, flip)
 from clusterbrick.polytope import (LatticePolytope, equal_up_to_translation,
                                    minkowski_sum)
-from clusterbrick.typea import ambient_representative, loday_summands
+from clusterbrick.typea import ambient_representative
 from clusterbrick.verify import (build_correspondence, check_typea_models,
                                  run_checks)
+from oracles import (all_cluster_variables, brute_force_facets,
+                     enumerate_seeds, loday_summands, weight_function)
 
 
 def run_criterion(number, budget, body):

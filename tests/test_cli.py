@@ -125,7 +125,7 @@ def test_jobs_belongs_to_verify_only(capsys, argv):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["-3", "0", "x"])
+@pytest.mark.parametrize("jobs", ["-3", "0", "x", "0_2"])
 def test_jobs_below_one_is_rejected(capsys, jobs):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--type", "A2", "--checks", "c-vectors",
@@ -197,11 +197,18 @@ def test_exit_code_two_on_malformed_input(capsys):
         ("tpaths", "--type", "B2", "--root", "1,2"),
         ("tpaths", "--type", "A2", "--root", "2,1"),
         ("tpaths", "--type", "A2", "--root", "1;2"),
+        # not ASCII digits, though int() reads the first three as 2, 2 and 3
+        ("facets", "--type", "A", "--rank", "0_2"),
+        ("facets", "--type", "A2", "--coxeter", "1,+2"),
+        ("facets", "--type", "B\u0663"),      # Arabic-Indic digit three
+        ("facets", "--type", "B\u00b3"),      # superscript three
     ]
     for argv in bad_invocations:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # int() rejects the superscript too, but with a message naming no flag
+    assert argv[-1] == "B\u00b3" and "--type" in err
 
 
 def test_type_and_cartan_conflict(tmp_path, capsys):

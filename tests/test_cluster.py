@@ -5,13 +5,13 @@ import pytest
 from clusterbrick.errors import InexactDivision, InvariantViolation
 from clusterbrick.roots import cartan_of_type, positive_roots
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly,
-                                  all_cluster_variables, c_vectors, cluster_key, d_vector,
-                                  enumerate_seeds, exact_div, f_polynomial,
-                                  format_fpoly, format_laurent, g_from_F,
-                                  g_vector, initial_matrix, initial_seed,
-                                  mutate, principal_part, tropical_add,
-                                  variable_from_g_and_F, variable_names)
+from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly, c_vectors,
+                                  d_vector, exact_div, f_polynomial,
+                                  format_fpoly, format_laurent, g_vector,
+                                  initial_matrix, initial_seed, mutate,
+                                  principal_part, tropical_add, variable_names)
+from oracles import (all_cluster_variables, cluster_key, enumerate_seeds,
+                     g_from_F, variable_from_g_and_F)
 
 A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)

@@ -10,8 +10,8 @@ from clusterbrick.coxeter import (apply_matrix, c_sorting_word,
                                   element_of_word, identity_matrix,
                                   is_reduced, length, longest_element,
                                   mat_mul, reflection_matrices,
-                                  restricted_prefixes, word_action_root,
-                                  word_action_weight)
+                                  restricted_prefixes)
+from oracles import word_action_root, word_action_weight
 
 
 def group_elements(cartan):

@@ -8,12 +8,12 @@ from clusterbrick.errors import InvariantViolation
 from clusterbrick.roots import cartan_of_type, coroot_of_root, positive_roots
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.subword import (antigreedy_facet, brick_vector,
-                                  brute_force_facets, build_complex,
-                                  coroot_function, enumerate_facets,
+                                  build_complex, enumerate_facets,
                                   enumerate_facets_with_tables, flip,
-                                  greedy_facet, is_facet, root_function,
-                                  root_table, update_after_flip,
-                                  weight_function)
+                                  greedy_facet, is_facet, root_table,
+                                  update_after_flip)
+from oracles import (brute_force_facets, coroot_function, root_function,
+                     weight_function)
 
 A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)

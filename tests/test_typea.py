@@ -4,13 +4,13 @@ import pytest
 
 from clusterbrick.roots import cartan_of_type, root_to_weight_coords
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import FPolynomial, all_cluster_variables, \
-    d_vector, f_polynomial
+from clusterbrick.cluster import FPolynomial, d_vector, f_polynomial
 from clusterbrick.typea import (ambient_representative, boundary_letter,
                                 diagonal_of_root, enumerate_tpaths,
                                 f_poly_via_prefixes, f_poly_via_tpaths,
-                                flip_tpath, loday_summands,
-                                monomial_of_tpath, triangulation_of_coxeter)
+                                flip_tpath, monomial_of_tpath,
+                                triangulation_of_coxeter)
+from oracles import all_cluster_variables, loday_summands
 
 
 def test_triangulation_goldens():

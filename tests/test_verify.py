@@ -4,18 +4,18 @@ import dataclasses
 
 import pytest
 
-from clusterbrick import subword, verify
+from clusterbrick import polytope, subword, verify
 from clusterbrick.errors import InvariantViolation
 from clusterbrick.roots import (CartanMatrix, cartan_of_type, positive_roots,
                                 w_catalan)
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import (MPoly, cluster_key, enumerate_seeds,
-                                  initial_seed)
+from clusterbrick.cluster import MPoly, initial_seed
 from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
                                   greedy_facet, root_table)
 from clusterbrick.verify import (Report, build_correspondence, check_lemmas,
                                  check_names, check_typea_models, run_checks,
                                  type_label, variables_by_root)
+from oracles import cluster_key, enumerate_seeds
 
 A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)
@@ -257,6 +257,30 @@ def test_each_f_polynomial_is_built_once_per_walk(monkeypatch, c, checks):
         build_correspondence.cache_clear()
     assert all(r.passed for r in reports), reports
     assert counts["f_polynomial"] == len(positive_roots(A3)) == 6
+
+
+@pytest.mark.parametrize("family, hulls", [("B", 28), ("A", 19)])
+def test_each_column_hull_is_built_once_per_walk(monkeypatch, family, hulls):
+    """With p positive roots, the default checks hull p Newton polytopes and
+    p weight columns once each, although minkowski gates on newton, then
+    p - 1 partial Minkowski sums, the sum in weight coordinates and the
+    brick polytope: 3p + 1, so 28 on B3 (p = 9) and 19 on A3 (p = 6)."""
+    cartan = cartan_of_type(family, 3)
+    calls = []
+    hull = polytope.convex_hull_vertices
+
+    def counting(points):
+        calls.append(points)
+        return hull(points)
+
+    monkeypatch.setattr(polytope, "convex_hull_vertices", counting)
+    build_correspondence.cache_clear()
+    try:
+        reports = run_checks(cartan, (1, 2, 3))
+    finally:
+        build_correspondence.cache_clear()
+    assert all(r.passed for r in reports), reports
+    assert len(calls) == 3 * len(positive_roots(cartan)) + 1 == hulls
 
 
 def test_correspondence_catches_a_variable_that_leaves_its_position(
