@@ -12,8 +12,8 @@ import functools
 import itertools
 
 from .errors import InvariantViolation
-from .roots import (CartanMatrix, Vec, det_adjugate, positive_roots, reflect_root,
-                    reflect_weight)
+from .roots import (CartanMatrix, Vec, _eliminate, det_adjugate, positive_roots,
+                    reflect_root, reflect_weight)
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -34,8 +34,10 @@ def apply_matrix(m: Matrix, v: Vec) -> Vec:
 
 
 def det_int(m: Matrix) -> int:
-    """Determinant of a square integer matrix."""
-    return det_adjugate(m)[0]
+    """Determinant of a square integer matrix: the elimination of
+    `det_adjugate`, run on m alone."""
+    sign, last, _ = _eliminate(m, [()] * len(m))
+    return sign * last
 
 
 def matrix_inverse(m: Matrix) -> Matrix:

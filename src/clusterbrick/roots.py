@@ -6,6 +6,9 @@ coordinates, which are simple-root coordinates for the transposed Cartan
 matrix; that is how `reflect_coroot` and `coroot_of_root` work.  No floats
 anywhere.
 
+`reflection_tables` closes the reflections along the roots once per Cartan
+matrix, into lookups that hand out one pooled tuple per vector value.
+
 Node numbering is Bourbaki throughout.  Orientation conventions for the
 non-symmetric entries: B_n has a[n][n-1] = -2 (last simple root short),
 C_n is the transpose of B_n, F4 has a[3][2] = -2 (nodes 1, 2 long), and
@@ -137,26 +140,35 @@ def _symmetrizer(rows: tuple[tuple[int, ...], ...]) -> list[int]:
 
 
 def det_adjugate(matrix) -> tuple[int, tuple[Vec, ...] | None]:
-    """Determinant and adjugate of a square integer matrix.
+    """Determinant and adjugate of a square integer matrix: `_eliminate`
+    carries I along, so the right block ends as the last pivot times the
+    inverse, up to the sign of the row swaps.  None when singular."""
+    n = len(matrix)
+    sign, last, aug = _eliminate(matrix, [[int(r == c) for c in range(n)] for r in range(n)])
+    if not last:
+        return 0, None
+    return sign * last, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", Math. Comp.
-    1968) on [matrix | I].  By Sylvester's identity every intermediate
-    entry is, up to sign, a minor of the row-permuted augmented matrix, so
-    each division by the previous pivot is exact.  The left block ends as
-    the last pivot times I, which makes the right block the last pivot
-    times the inverse; the row swaps fix the sign.  The adjugate is None
-    when the determinant is 0.
+
+def _eliminate(matrix, right) -> tuple[int, int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 1968) of a square integer matrix, each row extended by the
+    matching row of `right`.  By Sylvester's identity every intermediate
+    entry is, up to sign, a minor of the row-permuted extended matrix, so
+    each division by the previous pivot is exact.  Returns the sign of the
+    row swaps, the last pivot (the determinant up to that sign, 0 when the
+    matrix is singular) and the eliminated rows.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(matrix)]
+    aug = [list(row) + list(extra) for row, extra in zip(matrix, right)]
     sign = prev = 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
-            return 0, None
+            return sign, 0, aug
         if pivot != k:
             aug[k], aug[pivot] = aug[pivot], aug[k]
             sign = -sign
@@ -168,7 +180,7 @@ def det_adjugate(matrix) -> tuple[int, tuple[Vec, ...] | None]:
                 f = row[k]
                 aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
+    return sign, prev, aug
 
 
 def _family(family: str, rank: int) -> str:
@@ -340,6 +352,61 @@ def coroot_of_root(cartan: CartanMatrix) -> dict[Vec, Vec]:
                 pairs[img] = img_co
                 frontier.append((img, img_co))
     return pairs
+
+
+class _WeightImages(dict):
+    """w -> pooled s_beta(w), computed on first lookup; both directions are
+    stored (s_beta is an involution), and racing fills store equal values."""
+
+    def __init__(self, pool: dict, beta_co: Vec, beta_w: Vec):
+        super().__init__()
+        self.pool, self.beta_co, self.beta_w = pool, beta_co, beta_w
+
+    def __missing__(self, w: Vec) -> Vec:
+        w = self.pool.setdefault(w, w)
+        coef = sum(a * b for a, b in zip(w, self.beta_co))   # <w, beta_co>
+        image = tuple(a - coef * b for a, b in zip(w, self.beta_w))
+        image = self[w] = self.pool.setdefault(image, image)
+        self[image] = w
+        return image
+
+
+class ReflectionTables:
+    """The reflections of a root system as lookups (Casselman, "Machine
+    calculations in Weyl groups", Invent. Math. 1994).
+
+    `pool` maps each root, and each weight met so far, to one canonical
+    tuple, and every table returns pooled tuples.  For roots beta and x:
+    `negative[beta]` is -beta, `pairing[beta][x]` is <x, beta_co>, and
+    `reflect[beta][x]` is s_beta(x) = x - <x, beta_co> beta.  For a weight
+    w, `weight_images[beta][w]` is s_beta(w), filled as met.  As
+    s_beta = s_(-beta), beta and -beta share those two entries.
+    """
+
+    def __init__(self, cartan: CartanMatrix):
+        coroots = coroot_of_root(cartan)
+        pool = self.pool = {beta: beta for beta in coroots}
+        self.negative, self.pairing, self.reflect, self.weight_images = {}, {}, {}, {}
+        for beta, beta_co in coroots.items():
+            neg = self.negative[beta] = pool[tuple(-x for x in beta)]
+            # <x, beta_co> = x . (A^T beta_co) for a root x
+            dual = root_to_weight_coords(transpose(cartan), beta_co)
+            pairs = self.pairing[beta] = {x: sum(a * b for a, b in zip(x, dual))
+                                          for x in coroots}
+            if neg in self.reflect:
+                self.reflect[beta] = self.reflect[neg]
+                self.weight_images[beta] = self.weight_images[neg]
+                continue
+            self.reflect[beta] = {x: pool[tuple(a - p * b for a, b in zip(x, beta))]
+                                  for x, p in pairs.items()}
+            self.weight_images[beta] = _WeightImages(
+                pool, beta_co, root_to_weight_coords(cartan, beta))
+
+
+@functools.lru_cache(maxsize=None)
+def reflection_tables(cartan: CartanMatrix) -> ReflectionTables:
+    """The `ReflectionTables` of `cartan`, built once."""
+    return ReflectionTables(cartan)
 
 
 _DEGREES_FIXED = {

@@ -11,7 +11,9 @@ root and weight configurations; coroots are read off the roots.
 `walk_flips` is the one breadth-first walk of the flip graph.  It carries
 the root tables along the flips and spot-checks them against tables built
 from scratch; facet enumeration here and the lockstep correspondence in
-`verify` both consume it.
+`verify` both consume it.  Along a flip every moved entry is a lookup in
+`roots.reflection_tables`, and every table entry is the canonical tuple of
+its value, so equal vectors across a walk's tables are one object.
 """
 
 from __future__ import annotations
@@ -33,14 +35,7 @@ from .coxeter import (
     weight_reflection_matrices,
 )
 from .errors import InvariantViolation
-from .roots import (
-    CartanMatrix,
-    Vec,
-    coroot_of_root,
-    positive_roots,
-    root_to_weight_coords,
-    transpose,
-)
+from .roots import CartanMatrix, Vec, positive_roots, reflection_tables
 
 Facet = tuple[int, ...]
 
@@ -179,8 +174,8 @@ def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
                 moved = [(c, _combine(cols, terms)) for c, terms in per_letter[q - 1]]
                 for c, col in moved:
                     cols[c] = col
-    roots, weights = rows
-    return RootTable(tuple(roots), tuple(weights))
+    pool = reflection_tables(complex_.cartan).pool
+    return RootTable(*(tuple([pool.setdefault(v, v) for v in row]) for row in rows))
 
 
 def _combine(cols: list, terms) -> Vec:
@@ -224,14 +219,12 @@ def flip(complex_: ClusterComplex, facet: Facet, i: int,
         raise ValueError(f"position {i} is not in facet {facet}")
     if table is None:
         table = root_table(complex_, facet)
-    beta = table.roots[i - 1]
-    neg = tuple(-x for x in beta)
+    roots = table.roots
+    beta = roots[i - 1]
+    pm = (beta, reflection_tables(complex_.cartan).negative[beta])
     chosen = set(facet)
-    j = 0
-    for k in range(1, complex_.m + 1):
-        if k not in chosen and table.roots[k - 1] in (beta, neg):
-            j = k
-            break
+    j = next((k for k, x in enumerate(roots, start=1)
+              if x in pm and k not in chosen), 0)
     if j == 0:
         raise InvariantViolation(f"no flip partner for position {i} in {facet}")
     out = tuple(sorted(set(facet) - {i} | {j}))
@@ -242,24 +235,16 @@ def update_after_flip(complex_: ClusterComplex, i: int, j: int,
                       table: RootTable) -> RootTable:
     """Table of the facet that flipping position i for j yields: entries
     strictly between the exchanged positions (inclusive on the far side)
-    are reflected along the root at i, all other entries are copied."""
-    cartan = complex_.cartan
+    are reflected along the root at i, all other entries are copied.  The
+    reflections are lookups in `reflection_tables`."""
+    tables = reflection_tables(complex_.cartan)
     beta = table.roots[i - 1]
-    beta_co = coroot_of_root(cartan)[beta]
-    # <x, beta_co> = x . (A^T beta_co) for a root x, w . beta_co for a weight w
-    beta_w = root_to_weight_coords(cartan, beta)
-    beta_co_w = root_to_weight_coords(transpose(cartan), beta_co)
     lo, hi = min(i, j), max(i, j)
-    roots = list(table.roots)
-    weights = list(table.weights)
-    for k in range(lo + 1, hi + 1):
-        x = roots[k - 1]
-        coef = sum(a * b for a, b in zip(x, beta_co_w))
-        roots[k - 1] = tuple(a - coef * b for a, b in zip(x, beta))
-        w = weights[k - 1]
-        coef = sum(a * b for a, b in zip(w, beta_co))
-        weights[k - 1] = tuple(a - coef * b for a, b in zip(w, beta_w))
-    return RootTable(tuple(roots), tuple(weights))
+    rows = []
+    for row, images in ((table.roots, tables.reflect[beta]),
+                        (table.weights, tables.weight_images[beta])):
+        rows.append(row[:lo] + tuple(map(images.__getitem__, row[lo:hi])) + row[hi:])
+    return RootTable(*rows)
 
 
 def brick_vector(complex_: ClusterComplex, facet: Facet,

@@ -34,8 +34,8 @@ from .coxeter import Word, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
 from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
-                    coroot_of_root, reflect_weight, root_to_weight_coords,
-                    w_catalan, weight_diff_to_root_coords)
+                    coroot_of_root, reflect_weight, reflection_tables,
+                    root_to_weight_coords, w_catalan, weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
                       brick_vector, build_complex, flip, greedy_facet,
                       walk_flips)
@@ -312,48 +312,49 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
     corr = build_correspondence(cartan, c)
     n = corr.complex_.n
     coroot = coroot_of_root(cartan)
+    g_of: dict[int, Vec] = {}       # id of an interned variable -> g-vector
+    dots: dict[tuple, int] = {}     # (weight, root) -> <weight, root_co>
     for node in corr.nodes.values():
-        positions = list(node.facet)
-        for i in positions:
-            expected = node.table.weights[i - 1]
-            actual = g_vector(node.seed.variables[node.pos_to_slot[i] - 1], n)
-            if actual != expected:
+        weights, roots = node.table.weights, node.table.roots
+        for i in node.facet:
+            var = node.seed.variables[node.pos_to_slot[i] - 1]
+            actual = g_of.get(id(var)) or g_of.setdefault(id(var), g_vector(var, n))
+            if actual != weights[i - 1]:
                 return _report("g-vectors", cartan, c, started, {
                     "facet": node.facet, "position": i,
-                    "expected": expected, "actual": actual})
-        coroots = [coroot[node.table.roots[j - 1]] for j in positions]
-        for a, i in enumerate(positions):
-            for b, j in enumerate(positions):
-                dot = sum(x * y for x, y in zip(node.table.weights[i - 1],
-                                                coroots[b]))
-                if dot != (1 if a == b else 0):
+                    "expected": weights[i - 1], "actual": actual})
+        for i in node.facet:
+            for j in node.facet:
+                key = (weights[i - 1], roots[j - 1])
+                dot = dots.get(key)
+                if dot is None:
+                    dot = dots[key] = sum(x * y for x, y in zip(key[0], coroot[key[1]]))
+                if dot != (i == j):
                     return _report("g-vectors", cartan, c, started, {
                         "facet": node.facet, "position": (i, j),
-                        "expected": 1 if a == b else 0, "actual": dot})
+                        "expected": int(i == j), "actual": dot})
     return _report("g-vectors", cartan, c, started, None)
 
 
 def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
     """The principal part of every exchange matrix is recovered from the
     root and coroot configurations: entry (i,j) is the pairing of the root
-    at j against the coroot at i, negated when i < j.  Each root of the
-    system is converted to weight coordinates once per check."""
+    at j against the coroot at i, negated when i < j.  The pairings are
+    read from `reflection_tables`."""
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
-    coroot = coroot_of_root(cartan)
-    # <root, coroot> is the coroot dotted with the root's weight image
-    weight_of = {beta: root_to_weight_coords(cartan, beta) for beta in coroot}
+    pairing = reflection_tables(cartan).pairing
     for node in corr.nodes.values():
         bpr = principal_part(node.seed.matrix)
-        images = {j: weight_of[node.table.roots[j - 1]] for j in node.facet}
+        roots = node.table.roots
         for i in node.facet:
-            coroot_i = coroot[node.table.roots[i - 1]]
+            against_i = pairing[roots[i - 1]]
             for j in node.facet:
                 s, t = node.pos_to_slot[i], node.pos_to_slot[j]
                 if i == j:
                     expected = 0
                 else:
-                    value = sum(a * b for a, b in zip(coroot_i, images[j]))
+                    value = against_i[roots[j - 1]]
                     expected = -value if i < j else value
                 if bpr[s - 1][t - 1] != expected:
                     return _report("exchange", cartan, c, started, {

@@ -17,7 +17,7 @@ from pathlib import Path
 from clusterbrick import polytope, verify
 from clusterbrick.cluster import f_polynomial
 from clusterbrick.roots import cartan_of_type, w_catalan
-from clusterbrick.subword import RootTable
+from clusterbrick.subword import RootTable, build_complex, enumerate_facets_with_tables
 from clusterbrick.verify import build_correspondence, run_checks, variables_by_root
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -104,3 +104,17 @@ def test_constructing_a_polytope_hulls_through_the_module_global(monkeypatch):
     square = polytope.LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     polytope.minkowski_sum([square, square])
     assert len(calls) == 2
+
+
+def test_every_root_table_field_is_a_row_of_length_m():
+    """The tracer's `subword.table_vectors` sums `len()` over every
+    dataclass field of each walk table, counting m vectors per row."""
+    tracer = _load_tracer()
+    cx = build_complex(cartan_of_type("B", 3), (1, 2, 3))
+    for table in enumerate_facets_with_tables(cx).values():
+        fields = dataclasses.fields(table)
+        for f in fields:
+            row = getattr(table, f.name)
+            assert isinstance(row, tuple) and len(row) == cx.m, f.name
+            assert all(isinstance(v, tuple) and len(v) == cx.n for v in row)
+        assert tracer._table_vectors(table) == len(fields) * cx.m

@@ -1,7 +1,5 @@
 """Exact lattice polytopes: hulls, membership, lattice points, sums."""
 
-import itertools
-
 import pytest
 
 from clusterbrick.errors import DimensionMismatch, ResourceLimit

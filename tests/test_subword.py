@@ -1,10 +1,7 @@
 """Facets of the subword complex, root and weight functions, flips, bricks."""
 
-import itertools
-
 import pytest
 
-from clusterbrick.errors import InvariantViolation
 from clusterbrick.roots import cartan_of_type, coroot_of_root, positive_roots
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.subword import (antigreedy_facet, brick_vector,

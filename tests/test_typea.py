@@ -4,7 +4,7 @@ import pytest
 
 from clusterbrick.roots import cartan_of_type, root_to_weight_coords
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import FPolynomial, d_vector, f_polynomial
+from clusterbrick.cluster import d_vector, f_polynomial
 from clusterbrick.typea import (ambient_representative, boundary_letter,
                                 diagonal_of_root, enumerate_tpaths,
                                 f_poly_via_prefixes, f_poly_via_tpaths,
