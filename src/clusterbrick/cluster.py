@@ -30,6 +30,7 @@ point in this module.
 from __future__ import annotations
 
 import functools
+import heapq
 import struct
 from dataclasses import dataclass, field
 from operator import add, sub
@@ -229,7 +230,9 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
     certify that no exact quotient exists.  A candidate lies in the box
     exactly when the leading monomial of the remainder lies in the box
     shifted by the leading monomial of den; with every field below the
-    guard bit, one subtraction per bound compares all fields at once.
+    guard bit, one subtraction per bound compares all fields at once.  The
+    remainder's keys sit in a max-heap (Monagan-Pearce, CASC 2007), pushed
+    on entering it; entries of keys that cancelled since are skipped.
     """
     num._check(den)
     if den.is_zero():
@@ -250,15 +253,19 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
     floor = layout.pack(map(add, lo, lead_exp))
     ceiling = layout.pack(map(add, hi, lead_exp)) | guard
     to_quotient = layout.bias - den_lead
-    den_terms = [(k - layout.bias, c) for k, c in den._t.items()]
+    den_terms = [(k - layout.bias, c) for k, c in den._t.items() if k != den_lead]
     rem = dict(num._t)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
     quo: dict[int, int] = {}
     while rem:
-        lead = max(rem)
+        lead = -heapq.heappop(heap)
+        lc = rem.pop(lead, 0)
+        if not lc:
+            continue
         if ((lead | guard) - floor) & guard != guard \
                 or (ceiling - lead) & guard != guard:
             raise InexactDivision("quotient would leave the exponent box")
-        lc = rem[lead]
         q_c, r = divmod(lc, den_lc)
         if r:
             raise InexactDivision(f"coefficient {lc} not divisible by {den_lc}")
@@ -266,9 +273,12 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
         quo[q] = q_c
         for k, c in den_terms:
             key = q + k
-            val = rem.get(key, 0) - q_c * c
-            if val:
-                rem[key] = val
+            val = rem.get(key)
+            if val is None:
+                rem[key] = -q_c * c
+                heapq.heappush(heap, -key)
+            elif val != q_c * c:
+                rem[key] = val - q_c * c
             else:
                 del rem[key]
     return MPoly._make(nv, quo, lo, hi)
@@ -435,26 +445,27 @@ def mutate(seed: Seed, i: int) -> Seed:
 
 
 class ExchangeMemo:
-    """Hash-consed cluster variables and exact exchange quotients of one walk.
+    """Hash-consed cluster variables and certified exchange partners of one walk.
 
     `intern` maps every variable to one canonical object per polynomial, so
     equal variables of the walk are identical and each has a small index.
     An exchange relation is keyed by its exchange data: the sorted
     (index, exponent) pairs of the nonzero exchange-block entries of the
     column, the c-vector of the slot, and the index of the old variable.
-    The exchange binomial depends on nothing else, so `quotient`
-    divides once per key.  `verdicts` holds the keys, each extended by the
-    index of the partner variable, of product checks that passed.  No
-    binomial or product is stored.
+    The exchange binomial depends on nothing else.  `partners` maps each
+    key to the variable whose product with the old one is that binomial,
+    certified by an exact division or a passed product check, and the
+    reverse key back to the old variable: mutation at slot s negates column
+    s in all 2n rows and keeps the other slots, so the reverse key negates
+    the column entries and the c-vector, and the binomial is the same.
     """
 
-    __slots__ = ("_canonical", "_index", "_quotients", "verdicts")
+    __slots__ = ("_canonical", "_index", "partners")
 
     def __init__(self):
         self._canonical: dict[MPoly, MPoly] = {}
         self._index: dict[int, int] = {}    # id of a canonical variable -> index
-        self._quotients: dict[tuple, MPoly] = {}
-        self.verdicts: set[tuple] = set()
+        self.partners: dict[tuple, MPoly] = {}
 
     def intern(self, p: MPoly) -> MPoly:
         """The canonical object equal to p, p itself when it is new."""
@@ -480,14 +491,21 @@ class ExchangeMemo:
                         for k in range(seed.n) if (b := seed.matrix[k][i - 1]))
         return tuple(column), c_vector(seed, i), self.index(seed.variables[i - 1])
 
+    def record(self, key: tuple, old: MPoly, new: MPoly) -> None:
+        """Enter a certified exchange: new * old is the binomial of `key`."""
+        column, c, _ = key
+        reverse = (tuple((k, -b) for k, b in column), tuple(-a for a in c),
+                   self.index(new))
+        self.partners[key], self.partners[reverse] = new, old
+
     def quotient(self, seed: Seed, i: int) -> MPoly:
         """The interned variable that mutation at slot i brings in."""
         key = self.exchange_key(seed, i)
-        new_var = self._quotients.get(key)
+        new_var = self.partners.get(key)
         if new_var is None:
-            new_var = self.intern(
-                exact_div(exchange_binomial(seed, i), seed.variables[i - 1]))
-            self._quotients[key] = new_var
+            old = seed.variables[i - 1]
+            new_var = self.intern(exact_div(exchange_binomial(seed, i), old))
+            self.record(key, old, new_var)
         return new_var
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
+from contextlib import suppress
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -221,14 +222,14 @@ def flip(complex_: ClusterComplex, facet: Facet, i: int,
         table = root_table(complex_, facet)
     roots = table.roots
     beta = roots[i - 1]
-    pm = (beta, reflection_tables(complex_.cartan).negative[beta])
     chosen = set(facet)
-    j = next((k for k, x in enumerate(roots, start=1)
-              if x in pm and k not in chosen), 0)
-    if j == 0:
-        raise InvariantViolation(f"no flip partner for position {i} in {facet}")
-    out = tuple(sorted(set(facet) - {i} | {j}))
-    return out, j
+    for x in (beta, reflection_tables(complex_.cartan).negative[beta]):
+        j = 0
+        with suppress(ValueError):      # x is at no further position
+            while (j := roots.index(x, j) + 1) in chosen:
+                pass
+            return tuple(sorted(chosen - {i} | {j})), j
+    raise InvariantViolation(f"no flip partner for position {i} in {facet}")
 
 
 def update_after_flip(complex_: ClusterComplex, i: int, j: int,

