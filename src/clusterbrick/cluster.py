@@ -517,8 +517,7 @@ def principal_part(matrix) -> tuple[tuple[int, ...], ...]:
 
 def c_vector(seed: Seed, i: int) -> Vec:
     """Column i of the coefficient block, simple-root coordinates."""
-    n = seed.n
-    return tuple(seed.matrix[n + s][i - 1] for s in range(n))
+    return tuple([row[i - 1] for row in seed.matrix[seed.n:]])
 
 
 def c_vectors(seed: Seed) -> tuple[Vec, ...]:

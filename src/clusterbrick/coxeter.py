@@ -12,8 +12,7 @@ import functools
 import itertools
 
 from .errors import InvariantViolation
-from .roots import (CartanMatrix, Vec, _eliminate, det_adjugate, positive_roots,
-                    reflect_root, reflect_weight)
+from .roots import CartanMatrix, Vec, _eliminate, positive_roots, reflect_root
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -24,7 +23,6 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
@@ -40,14 +38,6 @@ def det_int(m: Matrix) -> int:
     return sign * last
 
 
-def matrix_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det, adj = det_adjugate(m)
-    if det not in (1, -1):
-        raise InvariantViolation(f"matrix has determinant {det}, so its inverse is not integral")
-    return tuple(tuple(det * x for x in row) for row in adj)
-
-
 @functools.lru_cache(maxsize=None)
 def reflection_matrices(cartan: CartanMatrix) -> tuple[Matrix, ...]:
     """Matrices of the simple reflections on simple-root coordinates, index s-1."""
@@ -55,18 +45,6 @@ def reflection_matrices(cartan: CartanMatrix) -> tuple[Matrix, ...]:
     out = []
     for s in range(1, n + 1):
         cols = [reflect_root(cartan, s, tuple(1 if t == c else 0 for t in range(n)))
-                for c in range(n)]
-        out.append(tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def weight_reflection_matrices(cartan: CartanMatrix) -> tuple[Matrix, ...]:
-    """Matrices of the simple reflections on fundamental-weight coordinates."""
-    n = cartan.n
-    out = []
-    for s in range(1, n + 1):
-        cols = [reflect_weight(cartan, s, tuple(1 if t == c else 0 for t in range(n)))
                 for c in range(n)]
         out.append(tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
     return tuple(out)
@@ -90,8 +68,10 @@ def length(cartan: CartanMatrix, g: Matrix) -> int:
     return sum(1 for beta in positive_roots(cartan) if _is_negative(apply_matrix(g, beta)))
 
 
+@functools.lru_cache(maxsize=None)
 def longest_element(cartan: CartanMatrix) -> Matrix:
-    """The longest element, found by greedy length ascent from the identity."""
+    """The longest element, found once per Cartan matrix by greedy length
+    ascent from the identity."""
     n = cartan.n
     mats = reflection_matrices(cartan)
     g = identity_matrix(n)
@@ -113,33 +93,25 @@ def c_sorting_word(cartan: CartanMatrix, c: Word, target: Matrix) -> Word:
     """Greedy subword of c, c, c, ... spelling a reduced word for target.
 
     Scanning the letters of c cyclically, a letter is taken exactly when it
-    is a left descent of the not-yet-spelled remainder.  The result is the
+    is a left descent of the not-yet-spelled remainder r.  The remainder is
+    tracked by its image r(2 rho) in simple-root coordinates, 2 rho being
+    the sum of the positive roots: s is a left descent of r exactly when
+    r^-1(alpha_s) is negative, that is when <r(2 rho), alpha_s^vee> < 0,
+    and r is spelled out when r(2 rho) = 2 rho.  The result is the
     lexicographically first reduced word for target as a subword of the
     infinite repetition of c.
     """
-    n = cartan.n
-    mats = reflection_matrices(cartan)
-    ident = identity_matrix(n)
-    inv_rem = matrix_inverse(target)  # inverse of the remainder still to spell
+    two_rho = tuple(map(sum, zip(*positive_roots(cartan))))
+    v = apply_matrix(target, two_rho)   # r(2 rho) for the remainder r
     word: list[int] = []
-    cap = n * (len(positive_roots(cartan)) + 1)
-    scanned = 0
-    while inv_rem != ident:
-        took_any = False
+    for _ in range(len(positive_roots(cartan)) + 1):    # a pass takes a letter
         for s in c:
-            scanned += 1
-            if scanned > cap:
-                raise InvariantViolation("sorting-word scan exceeded its cap")  # pragma: no cover
-            col = tuple(inv_rem[r][s - 1] for r in range(n))
-            if _is_negative(col):  # s is a left descent of the remainder
+            if v == two_rho:
+                return tuple(word)
+            if sum(a * x for a, x in zip(cartan.rows[s - 1], v)) < 0:
                 word.append(s)
-                inv_rem = mat_mul(inv_rem, mats[s - 1])
-                took_any = True
-                if inv_rem == ident:
-                    break
-        if not took_any:
-            raise InvariantViolation("no descent found before cap")  # pragma: no cover
-    return tuple(word)
+                v = reflect_root(cartan, s, v)
+    raise InvariantViolation("sorting-word scan exceeded its cap")  # pragma: no cover
 
 
 def coxeter_words(cartan: CartanMatrix) -> tuple[Word, ...]:

@@ -19,24 +19,15 @@ its value, so equal vectors across a walk's tables are one object.
 from __future__ import annotations
 
 import functools
+from bisect import insort
 from collections import deque
-from contextlib import suppress
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .coxeter import (
-    Matrix,
-    Word,
-    apply_matrix,
-    identity_matrix,
-    longest_element,
-    mat_mul,
-    c_sorting_word,
-    reflection_matrices,
-    weight_reflection_matrices,
-)
+from .coxeter import Word, c_sorting_word, longest_element
 from .errors import InvariantViolation
-from .roots import CartanMatrix, Vec, positive_roots, reflection_tables
+from .roots import (CartanMatrix, ReflectionTables, Vec, positive_roots,
+                    reflect_weight, reflection_tables)
 
 Facet = tuple[int, ...]
 
@@ -49,7 +40,31 @@ class ClusterComplex:
     c: Word
     word: Word                      # c followed by the sorting word of the longest element
     pos_root: tuple[Vec, ...]       # almost positive root at each position, simple-root coords
-    longest: Matrix
+
+    @functools.cached_property
+    def tables(self) -> ReflectionTables:
+        """The reflection tables of the Cartan matrix, looked up once."""
+        return reflection_tables(self.cartan)
+
+    @functools.cached_property
+    def antigreedy(self) -> Facet:
+        """Lexicographically last facet, found once: the positions skipped
+        by a left-to-right sweep that absorbs every letter lengthening the
+        product u of the letters absorbed, which spells the longest element
+        from the earliest positions.  With rho = (1, ..., 1) in weight
+        coordinates, u s_q is longer than u exactly when coordinate q of
+        u^-1 rho is positive, and u is the longest element exactly when
+        u^-1 rho = -rho, as rho has trivial stabilizer."""
+        v = (1,) * self.n
+        skipped = []
+        for k, q in enumerate(self.word, start=1):
+            if v[q - 1] > 0:
+                v = reflect_weight(self.cartan, q, v)
+            else:
+                skipped.append(k)
+        if v != (-1,) * self.n or len(skipped) != self.n:
+            raise InvariantViolation("length sweep did not absorb a longest word")
+        return tuple(skipped)
 
     @property
     def n(self) -> int:
@@ -58,10 +73,6 @@ class ClusterComplex:
     @property
     def m(self) -> int:
         return len(self.word)
-
-    @property
-    def positive_count(self) -> int:
-        return self.m - self.n
 
 
 @dataclass(frozen=True)
@@ -82,25 +93,21 @@ def build_complex(cartan: CartanMatrix, c: Word) -> ClusterComplex:
     n = cartan.n
     if sorted(c) != list(range(1, n + 1)):
         raise ValueError(f"Coxeter word {c} is not a permutation of 1..{n}")
-    w0 = longest_element(cartan)
-    sorting = c_sorting_word(cartan, c, w0)
-    word = tuple(c) + sorting
-    mats = reflection_matrices(cartan)
-    pos_root = [tuple(-1 if t == q - 1 else 0 for t in range(n)) for q in c]
-    prefix = identity_matrix(n)
-    for q in sorting:
-        unit = tuple(1 if t == q - 1 else 0 for t in range(n))
-        pos_root.append(apply_matrix(prefix, unit))
-        prefix = mat_mul(prefix, mats[q - 1])
-    complex_ = ClusterComplex(cartan, tuple(c), word, tuple(pos_root), w0)
+    word = tuple(c) + c_sorting_word(cartan, c, longest_element(cartan))
+    tables = reflection_tables(cartan)
+    # The greedy facet's roots: the simple roots of c, then the positive
+    # roots in the order the sorting word sweeps them.
+    greedy = _table(cartan, word, range(1, n + 1), tables.pool)
+    pos_root = tuple(tables.negative[r] for r in greedy.roots[:n]) + greedy.roots[n:]
+    complex_ = ClusterComplex(cartan, tuple(c), word, pos_root)
     positives = pos_root[n:]
     if sorted(positives) != sorted(positive_roots(cartan)) or len(set(positives)) != len(positives):
         raise InvariantViolation("positions do not sweep the positive roots bijectively")
-    for facet, increasing in ((greedy_facet(complex_), True),
-                              (antigreedy_facet(complex_), False)):
+    anti = antigreedy_facet(complex_)
+    for facet, table, increasing in ((greedy_facet(complex_), greedy, True),
+                                     (anti, root_table(complex_, anti), False)):
         if not is_facet(complex_, facet):
             raise InvariantViolation(f"{facet} is not a facet")
-        table = root_table(complex_, facet)
         for i in facet:
             _, j = flip(complex_, facet, i, table)
             if (j > i) != increasing:
@@ -115,106 +122,69 @@ def greedy_facet(complex_: ClusterComplex) -> Facet:
 
 
 def antigreedy_facet(complex_: ClusterComplex) -> Facet:
-    """Lexicographically last facet.
-
-    Sweeping the word left to right and absorbing every letter that
-    increases the length builds a reduced word for the longest element out
-    of the earliest possible positions; the skipped positions therefore
-    form the latest possible complement, which is the last facet.
-    """
-    n = complex_.n
-    mats = reflection_matrices(complex_.cartan)
-    u = identity_matrix(n)
-    skipped = []
-    for k, q in enumerate(complex_.word, start=1):
-        unit = tuple(1 if t == q - 1 else 0 for t in range(n))
-        if all(x >= 0 for x in apply_matrix(u, unit)):
-            u = mat_mul(u, mats[q - 1])
-        else:
-            skipped.append(k)
-    if u != complex_.longest or len(skipped) != n:
-        raise InvariantViolation("length sweep did not absorb a longest word")
-    return tuple(skipped)
+    """Lexicographically last facet, kept on the complex."""
+    return complex_.antigreedy
 
 
 def is_facet(complex_: ClusterComplex, positions: Facet) -> bool:
-    """True when the complement of `positions` spells the longest element."""
-    if len(positions) != complex_.n or len(set(positions)) != len(positions):
+    """True when the complement of `positions` spells the longest element
+    w0: the complement's product u is w0 exactly when u^-1 sends
+    rho = (1, ..., 1), weight coordinates, to w0 rho = -rho."""
+    n = complex_.n
+    if len(positions) != n or len(set(positions)) != len(positions):
         return False
     if any(not 1 <= k <= complex_.m for k in positions):
         return False
     chosen = set(positions)
-    mats = reflection_matrices(complex_.cartan)
-    acc = identity_matrix(complex_.n)
+    v = (1,) * n
     for k, q in enumerate(complex_.word, start=1):
         if k not in chosen:
-            acc = mat_mul(acc, mats[q - 1])
-    return acc == complex_.longest
+            v = reflect_weight(complex_.cartan, q, v)
+    return v == (-1,) * n
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
-    """Direct construction of both rows in one left-to-right sweep.
+    """Direct construction of both rows in one left-to-right sweep."""
+    return _table(complex_.cartan, complex_.word, set(facet),
+                  complex_.tables.pool)
 
-    Each prefix product is carried as its list of columns: the entry at
-    position k is column q of the prefix before k, where q is the letter at
-    k, and a complement letter rewrites only the columns its reflection
-    moves.
+
+def _table(cartan: CartanMatrix, word: Word, chosen, pool: dict) -> RootTable:
+    """The root table of the facet `chosen` of `word`, its entries pooled.
+
+    The prefix product u of the complement letters before position k is
+    carried as its columns u(alpha_t) and u(omega_t); the entries at k are
+    the columns of the letter q at k.  A complement letter q multiplies u by
+    s_q on the right, which takes a_qt u(alpha_q) off each u(alpha_t) and
+    u(alpha_q) = sum_t a_tq u(omega_t) off u(omega_q).
     """
-    n = complex_.n
-    chosen = set(facet)
-    updates = _column_updates(complex_.cartan)
-    unit_cols = [tuple(1 if t == c else 0 for t in range(n)) for c in range(n)]
-    prefixes = (list(unit_cols), list(unit_cols))
+    n, a = cartan.n, cartan.rows
+    alphas = [tuple(1 if t == c else 0 for t in range(n)) for c in range(n)]
+    omegas = list(alphas)
     rows = ([], [])
-    for k, q in enumerate(complex_.word, start=1):
-        for cols, row in zip(prefixes, rows):
-            row.append(cols[q - 1])
+    for k, q in enumerate(word, start=1):
+        top = alphas[q - 1]
+        rows[0].append(top)
+        rows[1].append(omegas[q - 1])
         if k not in chosen:
-            for cols, per_letter in zip(prefixes, updates):
-                # every moved column is read from the old columns
-                moved = [(c, _combine(cols, terms)) for c, terms in per_letter[q - 1]]
-                for c, col in moved:
-                    cols[c] = col
-    pool = reflection_tables(complex_.cartan).pool
+            alphas = [tuple(x - f * y for x, y in zip(col, top)) if (f := a[q - 1][t])
+                      else col for t, col in enumerate(alphas)]
+            acc = omegas[q - 1]
+            for t, col in enumerate(omegas):
+                if f := a[t][q - 1]:
+                    acc = tuple(x - f * y for x, y in zip(acc, col))
+            omegas[q - 1] = acc
     return RootTable(*(tuple([pool.setdefault(v, v) for v in row]) for row in rows))
-
-
-def _combine(cols: list, terms) -> Vec:
-    """The sum of coef * cols[t] over the (t, coef) of `terms`."""
-    (t, coef), *rest = terms
-    acc = [coef * x for x in cols[t]]
-    for t, coef in rest:
-        acc = [a + coef * x for a, x in zip(acc, cols[t])]
-    return tuple(acc)
-
-
-@functools.lru_cache(maxsize=None)
-def _column_updates(cartan: CartanMatrix) -> tuple:
-    """How right multiplication by each simple reflection rewrites the
-    columns of a matrix, for the root and weight representations.
-
-    Entry [rep][s - 1] lists (c, ((t, coef), ...)): new column c is the sum
-    of coef times old column t.  A reflection differs from the identity by
-    a rank-one matrix, so only a few columns are listed.
-    """
-    out = []
-    for mats in (reflection_matrices(cartan), weight_reflection_matrices(cartan)):
-        n = len(mats[0])
-        out.append(tuple(
-            tuple((c, tuple((t, m[t][c]) for t in range(n) if m[t][c]))
-                  for c in range(n)
-                  if any(m[t][c] != (t == c) for t in range(n)))
-            for m in mats))
-    return tuple(out)
 
 
 def flip(complex_: ClusterComplex, facet: Facet, i: int,
          table: RootTable | None = None) -> tuple[Facet, int]:
     """Exchange position i of `facet` for the unique partner position j.
 
-    j is the complement position whose root is plus or minus the root at i.
-    The flip is increasing exactly when i < j, which happens exactly when
-    the two roots agree and are positive.
+    The complement positions carry the positive roots, each once, and j is
+    the one whose root is plus or minus the root at i.  The flip is
+    increasing exactly when i < j, which happens exactly when the root at
+    i is positive.
     """
     if i not in facet:
         raise ValueError(f"position {i} is not in facet {facet}")
@@ -222,14 +192,16 @@ def flip(complex_: ClusterComplex, facet: Facet, i: int,
         table = root_table(complex_, facet)
     roots = table.roots
     beta = roots[i - 1]
-    chosen = set(facet)
-    for x in (beta, reflection_tables(complex_.cartan).negative[beta]):
-        j = 0
-        with suppress(ValueError):      # x is at no further position
-            while (j := roots.index(x, j) + 1) in chosen:
-                pass
-            return tuple(sorted(chosen - {i} | {j})), j
-    raise InvariantViolation(f"no flip partner for position {i} in {facet}")
+    x = beta if min(beta) >= 0 else complex_.tables.negative[beta]
+    j = 0
+    try:
+        while (j := roots.index(x, j) + 1) in facet:
+            pass
+    except ValueError:      # x is at no complement position
+        raise InvariantViolation(f"no flip partner for position {i} in {facet}") from None
+    new_facet = [k for k in facet if k != i]
+    insort(new_facet, j)
+    return tuple(new_facet), j
 
 
 def update_after_flip(complex_: ClusterComplex, i: int, j: int,
@@ -238,7 +210,7 @@ def update_after_flip(complex_: ClusterComplex, i: int, j: int,
     strictly between the exchanged positions (inclusive on the far side)
     are reflected along the root at i, all other entries are copied.  The
     reflections are lookups in `reflection_tables`."""
-    tables = reflection_tables(complex_.cartan)
+    tables = complex_.tables
     beta = table.roots[i - 1]
     lo, hi = min(i, j), max(i, j)
     rows = []

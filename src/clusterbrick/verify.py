@@ -12,7 +12,10 @@ for the walk keeps one certified partner per exchange key and its reverse,
 so one division or product covers an exchange pair in both directions.
 The checks read the resulting `Correspondence`, which
 also builds each F-polynomial, Newton polytope and weight-column hull once,
-on first use.
+on first use.  Facts about adjacent facets are certified on the flip
+between them, as lookups in the pooled reflection tables: `c-vectors`
+takes one determinant, at the greedy facet, and `lemmas` checks weight
+monotonicity in its local form.
 
 Every check returns a Report rather than raising: a failed mathematical
 statement is data (with a counterexample payload), not a crash.  Structural
@@ -285,9 +288,12 @@ def _report(name: str, cartan: CartanMatrix, c: Word, started: float,
 
 def check_c_vectors(cartan: CartanMatrix, c: Word) -> Report:
     """c-vectors equal the root configuration; they are sign-coherent and
-    form a lattice basis (determinant of absolute value one) at every facet."""
+    form a lattice basis (determinant of absolute value one) at every facet:
+    by one determinant at the greedy facet, carried to every other facet
+    along one flip by `_determinant_carries`."""
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
+    greedy = greedy_facet(corr.complex_)
     for node in corr.nodes.values():
         rows = []
         for i in node.facet:
@@ -302,12 +308,40 @@ def check_c_vectors(cartan: CartanMatrix, c: Word) -> Report:
                 return _report("c-vectors", cartan, c, started, {
                     "facet": node.facet, "position": i,
                     "expected": "sign-coherent vector", "actual": actual})
-        if abs(det_int(tuple(rows))) != 1:
+        if not (abs(det_int(tuple(rows))) == 1 if node.facet == greedy
+                else _determinant_carries(corr, node)):
             return _report("c-vectors", cartan, c, started, {
                 "facet": node.facet,
                 "expected": "root configuration with determinant +-1",
                 "actual": rows})
     return _report("c-vectors", cartan, c, started, None)
+
+
+def _determinant_carries(corr: Correspondence, node: Node) -> bool:
+    """True when the flip of the facet F at its first negative root beta,
+    at i (only the greedy facet has none), goes down to F' = F - i + j,
+    j < i, whose roots are +-beta at j and, at the other positions of F,
+    the root of F or its reflection along beta.  Those are unimodular row
+    operations on the configuration of F, so |det| carries from the smaller
+    F' to F, and by induction from the greedy facet.  Pooled roots are
+    compared by identity; any miss is False."""
+    complex_, roots = corr.complex_, node.table.roots
+    tables = complex_.tables
+    i = next((i for i in node.facet if min(roots[i - 1]) < 0), 0)
+    beta = roots[i - 1] if i else None
+    if beta not in tables.negative:
+        return False
+    try:
+        new_facet, j = flip(complex_, node.facet, i, node.table)
+    except InvariantViolation:
+        return False
+    other = corr.nodes.get(new_facet)
+    if other is None or j > i:
+        return False
+    new, images = other.table.roots, tables.reflect[beta]
+    return ((new[j - 1] is beta or new[j - 1] is tables.negative[beta])
+            and all(new[k - 1] is roots[k - 1] or new[k - 1] is images.get(roots[k - 1])
+                    for k in node.facet if k != i))
 
 
 def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
@@ -373,10 +407,12 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     """Weight rigidity and monotonicity along the flip graph.
 
     Each column takes a single value on the facets containing it (so the
-    shared positions of adjacent facets carry equal weights); along every
-    increasing flip the whole weight column moves down by an element of the
-    positive root cone; and the greedy-minus-antigreedy weight difference of
-    a column beyond the first n is exactly its positive root.
+    shared positions of adjacent facets carry the identical pooled weight);
+    along every increasing flip, out of each position whose root beta is
+    positive, every column moves down by a nonnegative multiple of beta, in
+    the local form of `_first_upward`; and the greedy-minus-antigreedy
+    weight difference of a column beyond the first n is exactly its
+    positive root.
     """
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
@@ -387,31 +423,29 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
         for i in node.facet:
             w = node.table.weights[i - 1]
             if i in common:
-                if common[i] != w:
+                if common[i] is not w:
                     return _report("lemmas", cartan, c, started, {
                         "lemma": "column constant on facets containing it",
                         "facet": node.facet, "position": i,
                         "expected": common[i], "actual": w})
             else:
                 common[i] = w
+    along = {beta: (beta_co, root_to_weight_coords(cartan, beta))
+             for beta, beta_co in coroot_of_root(cartan).items() if min(beta) >= 0}
     for node in corr.nodes.values():
+        old = node.table.weights
         for i in node.facet:
+            beta = node.table.roots[i - 1]
+            if beta not in along:
+                continue        # decreasing: the reverse of an increasing flip
             new_facet, j = flip(complex_, node.facet, i, node.table)
-            if i < j:
-                other = corr.nodes[new_facet]
-                for k in range(1, m + 1):
-                    hi, lo = node.table.weights[k - 1], other.table.weights[k - 1]
-                    if hi == lo:
-                        continue    # a zero difference lies in the root cone
-                    try:
-                        diff = weight_diff_to_root_coords(cartan, hi, lo)
-                    except NotInRootLattice:
-                        diff = None
-                    if diff is None or any(x < 0 for x in diff):
-                        return _report("lemmas", cartan, c, started, {
-                            "lemma": "increasing flips shift weights down",
-                            "facet": node.facet, "flip": (i, j),
-                            "position": k, "difference": diff})
+            new = corr.nodes[new_facet].table.weights
+            k = _first_upward(old, new, i, j, *along[beta])
+            if k:
+                return _report("lemmas", cartan, c, started, {
+                    "lemma": "increasing flips shift weights down",
+                    "facet": node.facet, "flip": (i, j), "position": k,
+                    "difference": tuple(a - b for a, b in zip(old[k - 1], new[k - 1]))})
     g_table = corr.nodes[greedy_facet(complex_)].table
     ag_table = corr.nodes[antigreedy_facet(complex_)].table
     for k in range(n + 1, m + 1):
@@ -423,6 +457,28 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
                 "lemma": "greedy minus antigreedy equals the column root",
                 "position": k, "expected": expected, "actual": actual})
     return _report("lemmas", cartan, c, started, None)
+
+
+def _first_upward(old: tuple, new: tuple, i: int, j: int, beta_co: Vec,
+                  beta_w: Vec) -> int:
+    """The first position where the weight row `new` is not `old` moved
+    down along the increasing flip i -> j of the positive root with coroot
+    `beta_co` and weight coordinates `beta_w`, or 0: outside i < k <= j
+    the rows agree, and inside new[k] is old[k] - lam beta_w with
+    lam = <old[k], beta^vee> >= 0."""
+    if j < i:
+        return i
+    if old[:i] != new[:i] or old[j:] != new[j:]:
+        return next(k for k in range(1, len(old) + 1)
+                    if not i < k <= j and old[k - 1] != new[k - 1])
+    for k in range(i + 1, j + 1):
+        w, moved = old[k - 1], new[k - 1]
+        if moved is w:
+            continue
+        lam = sum(a * b for a, b in zip(w, beta_co))
+        if lam < 0 or moved != tuple(a - lam * b for a, b in zip(w, beta_w)):
+            return k
+    return 0
 
 
 def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:

@@ -6,11 +6,14 @@ from itertools import combinations
 
 from clusterbrick.cluster import (FPolynomial, MPoly, Seed, initial_matrix, initial_seed,
                                   mutate, principal_part)
-from clusterbrick.coxeter import Word, restricted_prefixes
-from clusterbrick.errors import InvariantViolation
+from clusterbrick.coxeter import (Matrix, Word, apply_matrix, det_int, identity_matrix,
+                                  longest_element, mat_mul, reflection_matrices,
+                                  restricted_prefixes)
+from clusterbrick.errors import InvariantViolation, NotInRootLattice
 from clusterbrick.polytope import convex_hull_vertices
-from clusterbrick.roots import CartanMatrix, Vec, reflect_root, reflect_weight, transpose
-from clusterbrick.subword import ClusterComplex, Facet, is_facet
+from clusterbrick.roots import (CartanMatrix, Vec, det_adjugate, positive_roots, reflect_root,
+                                reflect_weight, transpose, weight_diff_to_root_coords)
+from clusterbrick.subword import ClusterComplex, Facet, flip, is_facet
 
 
 def word_action_root(cartan: CartanMatrix, word: Word, v: Vec) -> Vec:
@@ -141,3 +144,100 @@ def loday_summands(c: Word) -> dict[tuple[int, int], tuple[Vec, ...]]:
                 pts.append(tuple(m))
             out[(i, j)] = tuple(sorted(set(pts)))
     return out
+
+
+def matrix_inverse(m: Matrix) -> Matrix:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    det, adj = det_adjugate(m)
+    if det not in (1, -1):
+        raise InvariantViolation(f"matrix has determinant {det}, so its inverse is not integral")
+    return tuple(tuple(det * x for x in row) for row in adj)
+
+
+def _is_negative(v: Vec) -> bool:
+    return all(x <= 0 for x in v) and any(x < 0 for x in v)
+
+
+def is_facet_by_matrices(complex_: ClusterComplex, positions) -> bool:
+    """True when the matrix product of the complement letters of
+    `positions` is the longest element."""
+    if len(positions) != complex_.n or len(set(positions)) != len(positions):
+        return False
+    if any(not 1 <= k <= complex_.m for k in positions):
+        return False
+    mats = reflection_matrices(complex_.cartan)
+    acc = identity_matrix(complex_.n)
+    for k, q in enumerate(complex_.word, start=1):
+        if k not in positions:
+            acc = mat_mul(acc, mats[q - 1])
+    return acc == longest_element(complex_.cartan)
+
+
+def antigreedy_by_matrices(complex_: ClusterComplex) -> Facet:
+    """The positions a left-to-right sweep skips, absorbing each letter q
+    with u(alpha_q) positive into the matrix u of the absorbed letters."""
+    n = complex_.n
+    mats = reflection_matrices(complex_.cartan)
+    u = identity_matrix(n)
+    skipped = []
+    for k, q in enumerate(complex_.word, start=1):
+        unit = tuple(1 if t == q - 1 else 0 for t in range(n))
+        if all(x >= 0 for x in apply_matrix(u, unit)):
+            u = mat_mul(u, mats[q - 1])
+        else:
+            skipped.append(k)
+    if u != longest_element(complex_.cartan) or len(skipped) != n:
+        raise InvariantViolation("length sweep did not absorb a longest word")
+    return tuple(skipped)
+
+
+def c_sorting_word_by_inverse(cartan: CartanMatrix, c: Word, target: Matrix) -> Word:
+    """The sorting word of target in c, c, c, ...: take s whenever column s
+    of the inverse of the remainder is negative, the inverse carried as a
+    matrix."""
+    n = cartan.n
+    mats = reflection_matrices(cartan)
+    ident = identity_matrix(n)
+    inv_rem = matrix_inverse(target)
+    word = []
+    for _ in range(len(positive_roots(cartan)) + 1):
+        for s in c:
+            if inv_rem == ident:
+                return tuple(word)
+            if _is_negative(tuple(inv_rem[r][s - 1] for r in range(n))):
+                word.append(s)
+                inv_rem = mat_mul(inv_rem, mats[s - 1])
+    raise InvariantViolation("sorting-word scan exceeded its cap")
+
+
+def first_facet_not_unimodular(corr) -> Facet | None:
+    """The first facet of a correspondence whose root configuration has a
+    determinant other than +-1, by one determinant per facet."""
+    for facet, node in corr.nodes.items():
+        if abs(det_int(tuple(node.table.roots[i - 1] for i in facet))) != 1:
+            return facet
+    return None
+
+
+def first_weight_moving_up(corr) -> tuple | None:
+    """(facet, (i, j), k) for the first increasing flip i -> j after which
+    w_k(F) - w_k(F') leaves the positive root cone, by one root-lattice
+    solve per changed column; None when there is none."""
+    complex_ = corr.complex_
+    for node in corr.nodes.values():
+        for i in node.facet:
+            new_facet, j = flip(complex_, node.facet, i, node.table)
+            if i > j:
+                continue
+            other = corr.nodes[new_facet]
+            for k in range(1, complex_.m + 1):
+                hi, lo = node.table.weights[k - 1], other.table.weights[k - 1]
+                if hi == lo:
+                    continue
+                try:
+                    diff = weight_diff_to_root_coords(complex_.cartan, hi, lo)
+                except NotInRootLattice:
+                    diff = None
+                if diff is None or any(x < 0 for x in diff):
+                    return node.facet, (i, j), k
+    return None

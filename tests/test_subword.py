@@ -4,7 +4,8 @@ import pytest
 
 from clusterbrick.roots import cartan_of_type, coroot_of_root, positive_roots
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.subword import (antigreedy_facet, brick_vector,
+from clusterbrick.errors import InvariantViolation
+from clusterbrick.subword import (RootTable, antigreedy_facet, brick_vector,
                                   build_complex, enumerate_facets,
                                   enumerate_facets_with_tables, flip,
                                   greedy_facet, is_facet, root_table,
@@ -61,6 +62,15 @@ def test_flip_goldens_A2():
     assert flip(cx, (1, 2), 2) == ((1, 5), 5)
     assert flip(cx, (3, 4), 4) == ((2, 3), 2)
     assert flip(cx, (4, 5), 4) == ((1, 5), 1)
+
+
+def test_flip_without_a_partner_raises():
+    cx = build_complex(A2, (1, 2))
+    # the partner of position 1 is position 3, the only complement alpha_1
+    table = root_table(cx, (1, 2))
+    broken = RootTable(table.roots[:2] + ((0, 1),) + table.roots[3:], table.weights)
+    with pytest.raises(InvariantViolation, match="no flip partner"):
+        flip(cx, (1, 2), 1, broken)
 
 
 def test_flip_is_involution():

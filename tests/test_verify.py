@@ -1,6 +1,10 @@
 """Cross-checks between the facet walk and the mutation walk."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)
 B2 = cartan_of_type("B", 2)
 G2 = cartan_of_type("G", 2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_type_label():
@@ -364,7 +369,9 @@ def test_correspondence_catches_a_variable_that_leaves_its_position(
         build_correspondence.cache_clear()
 
 
-def test_lemmas_skips_identical_weight_pairs(monkeypatch):
+def test_lemmas_makes_no_weight_diff_call(monkeypatch):
+    """Monotonicity is certified in its local form, as multiples of the
+    flipped root, with no root-lattice solve."""
     calls = []
     diff = verify.weight_diff_to_root_coords
 
@@ -373,9 +380,31 @@ def test_lemmas_skips_identical_weight_pairs(monkeypatch):
         return diff(cartan, hi, lo)
 
     monkeypatch.setattr(verify, "weight_diff_to_root_coords", counting)
-    report = check_lemmas(A3, (1, 2, 3))
-    assert report.passed, report.counterexample
-    assert calls and all(hi != lo for hi, lo in calls)
+    for cartan in (A3, cartan_of_type("B", 3), G2):
+        report = check_lemmas(cartan, tuple(range(1, cartan.n + 1)))
+        assert report.passed, report.counterexample
+    assert calls == []
+
+
+# Rank three outside the recognised labels: type A3 relabelled to centre
+# node 1, and the reducible A1xA2 and B2xA1, with their facet counts.
+RELABELLED = [
+    (((2, -1, -1), (-1, 2, 0), (-1, 0, 2)), 14),
+    (((2, 0, 0), (0, 2, -1), (0, -1, 2)), 2 * 5),
+    (((2, -1, 0), (-2, 2, 0), (0, 0, 2)), 6 * 2),
+]
+
+
+@pytest.mark.parametrize("rows,facets", RELABELLED)
+def test_relabelled_and_reducible_rank_three(rows, facets):
+    cartan = CartanMatrix(rows)
+    assert type_label(cartan) == "custom3"
+    for c in coxeter_words(cartan):
+        assert len(build_correspondence(cartan, c).nodes) == facets
+        reports = run_checks(cartan, c)
+        assert [r.name for r in reports] == list(check_names(A3)[:-1])
+        assert all(r.passed for r in reports), [
+            (r.name, r.counterexample) for r in reports if not r.passed]
 
 
 def test_variables_by_root_newton_golden():
@@ -421,3 +450,32 @@ def test_minkowski_at_rank_four():
 @pytest.mark.stretch
 def test_minkowski_at_rank_four_stretch():
     _assert_minkowski_holds_at_rank_four(("B", "C", "F"))
+
+
+E7_CHECKS = """
+import resource, time
+from clusterbrick.roots import cartan_of_type
+from clusterbrick.verify import build_correspondence, run_checks
+cartan, c = cartan_of_type("E", 7), tuple(range(1, 8))
+start = time.perf_counter()
+corr = build_correspondence(cartan, c)
+reports = run_checks(cartan, c, ("c-vectors", "g-vectors", "exchange", "lemmas"))
+elapsed = time.perf_counter() - start
+print(len(corr.nodes), all(r.passed for r in reports), elapsed,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.stretch
+def test_e7_walk_checks_fit_in_8_s_and_100_mb_stretch():
+    """The E7 lockstep walk (4,160 facets) and the c-vector, g-vector,
+    exchange and lemma checks on it pass in under 8 s at under 100 MB peak
+    RSS.  Measured on a 2-core Python 3.11 host: about 3 s at 31 MB."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", E7_CHECKS], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    facets, passed, elapsed, peak_kb = result.stdout.split()
+    assert (int(facets), passed) == (4160, "True")
+    assert float(elapsed) < 8
+    assert int(peak_kb) < 100 * 1024
