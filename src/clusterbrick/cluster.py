@@ -564,12 +564,7 @@ def f_polynomial(p: MPoly, n: int) -> FPolynomial:
 
 
 def _format_monomial(exponents, names) -> str:
-    parts = []
-    for e, name in zip(exponents, names):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{e}")
+    parts = [name if e == 1 else f"{name}^{e}" for e, name in zip(exponents, names) if e]
     return "*".join(parts) if parts else "1"
 
 

@@ -1,19 +1,24 @@
 """Exact lattice polytope arithmetic over the integers.
 
-Polytopes are stored as their vertex sets (integer coordinates).  Membership
-and extremality are decided with a fraction-free phase-one simplex over
-plain int, so every answer is exact.  Coordinates must be `int` (bools and
-every other number type are rejected), since the integer pivots are exact
-only on integer input.  Nothing here knows about root systems; the polytopes
-fed in are Newton polytopes and brick polytopes, but any integer point set
-works.
+Polytopes are stored as their vertex sets (integer coordinates).  Hulls and
+membership are decided by integer inequalities: one double description
+pass per hull gives its affine-hull equations and its facets, with
+fraction-free integer pivots only, so every answer is exact.  Coordinates
+must be `int` (bools and every other number type are rejected), since the
+integer pivots are exact only on integer input.  Nothing here knows about
+root systems (`roots.det_adjugate` is plain integer linear algebra); the
+polytopes fed in are Newton polytopes and brick polytopes, but any integer
+point set works.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd, prod
+from operator import mul
 
 from .errors import DimensionMismatch, ResourceLimit
+from .roots import det_adjugate
 
 Point = tuple[int, ...]
 
@@ -29,91 +34,104 @@ def _integer_point(point) -> Point:
     return point
 
 
-def _in_convex_hull(point, generators) -> bool:
-    """Exact test whether `point` is a convex combination of `generators`.
+def _dot(a, y) -> int:
+    return sum(map(mul, a, y))
 
-    Solves the phase-one LP: minimize the sum of artificial variables in
-      sum_i lam_i g_i = p,  sum_i lam_i = 1,  lam >= 0.
-    Feasible with optimum zero iff the point is in the hull.
 
-    The tableau is fraction free (Bareiss; Avis, lrs): it holds integers
-    with one common denominator d > 0, so the true entries are T / d.  A
-    pivot on p = T[pr][pc] keeps the pivot row and sets every other row,
-    the objective included, to (x * p - f * y) // d, where f is the row's
-    entry in the pivot column; Sylvester's identity makes the division
-    exact.  Then d becomes p.  Bland's rule picks the same pivots as over
-    the rationals.  The artificial columns are never read, so they are not
-    stored; the artificial of row r has basis index cols + r.
+def _primitive(v) -> Point:
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _double_description(points) -> tuple[tuple, tuple, tuple]:
+    """(equations, inequalities, zero sets) of the hull of distinct integer
+    points, by the double description method (Motzkin, Raiffa, Thompson
+    and Thrall 1953; Fukuda and Prodon, "Double description method
+    revisited", 1996).
+
+    Each point p becomes the row (1, p); x lies in the hull iff
+    <e, (1, x)> = 0 for every equation e and <y, (1, x)> >= 0 for every
+    inequality y.  A greedy maximal independent set B of the rows, of rank
+    r with pivot columns J, starts the cone: the columns of sign(det) adj
+    of B restricted to J, placed on J, are its r rays, and each is tight on
+    B minus its own row; each column c outside J gives the equation
+    det e_c - adj (column c of B), placed on J.  The other rows cut the
+    cone in turn; a pair of rays on opposite sides is adjacent, and spans a
+    new ray, iff it shares at least r - 2 tight rows and no third ray is
+    tight on all of them.  Zero sets are bitmasks over the points, and
+    every vector is primitive.
     """
-    if not generators:
-        return False
-    dim = len(point)
-    rows = dim + 1
-    cols = len(generators)
-    # tableau rows: lam_1..lam_k, rhs; the last row is sum lam = 1
-    tab = []
-    for r in range(dim):
-        row = [g[r] for g in generators]
-        row.append(point[r])
-        if point[r] < 0:
-            row = [-x for x in row]
-        tab.append(row)
-    tab.append([1] * (cols + 1))
-    # objective: sum of artificials, expressed in terms of non-basic columns.
-    # The basic artificials have reduced cost zero, so only the lam columns
-    # and the value cell pick up the row sums.
-    obj = [-sum(col) for col in zip(*tab)]
-    basis = [cols + r for r in range(rows)]
-    d = 1
-    while True:
-        # Bland's rule, and artificials never re-enter the basis.
-        pc = -1
-        for j in range(cols):
-            if obj[j] < 0:
-                pc = j
-                break
-        if pc < 0:
-            break
-        # least ratio rhs / a over a > 0, compared by cross-multiplying;
-        # ties go to the least basis index
-        pr = -1
-        for r in range(rows):
-            a = tab[r][pc]
-            if a > 0:
-                if pr < 0:
-                    pr = r
-                    continue
-                lhs = tab[r][-1] * tab[pr][pc]
-                rhs = tab[pr][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[pr]):
-                    pr = r
-        if pr < 0:
-            # unbounded phase-one cannot happen: objective is bounded below by 0
-            return False
-        prow = tab[pr]
-        p = prow[pc]
-        for r in range(rows):
-            if r != pr:
-                row = tab[r]
-                f = row[pc]
-                if f:
-                    tab[r] = [(x * p - f * y) // d for x, y in zip(row, prow)]
-                elif p != d:
-                    tab[r] = [x * p // d for x in row]
-        f = obj[pc]
-        obj = [(x * p - f * y) // d for x, y in zip(obj, prow)]
-        d = p
-        basis[pr] = pc
-    return obj[-1] == 0
+    rows = [(1,) + p for p in points]
+    width = len(rows[0])
+    basis, echelon, pivots = [], [], []
+    for idx, v in enumerate(rows):
+        for e, c in zip(echelon, pivots):
+            f = v[c]
+            if f:
+                v = [x * e[c] - f * y for x, y in zip(v, e)]
+        if any(v):
+            basis.append(idx)
+            echelon.append(v)
+            pivots.append(next(t for t, x in enumerate(v) if x))
+    cols, r = sorted(pivots), len(basis)
+    det, adj = det_adjugate([[rows[i][j] for j in cols] for i in basis])
+
+    def lift(u, c=None) -> Point:
+        """adj u placed on the pivot columns, det at column c."""
+        out = [det if t == c else 0 for t in range(width)]
+        for j, adj_row in zip(cols, adj):
+            out[j] = _dot(adj_row, u)
+        return _primitive(out)
+
+    equations = tuple(lift([-rows[i][c] for i in basis], c)
+                      for c in range(width) if c not in cols)
+    sign = 1 if det > 0 else -1
+    rays = [lift([sign * (l == k) for l in range(r)]) for k in range(r)]
+    everything = sum(1 << i for i in basis)
+    zeros = [everything ^ 1 << i for i in basis]
+    for idx, a in enumerate(rows):
+        if everything >> idx & 1:
+            continue
+        bit = 1 << idx
+        values = [_dot(a, y) for y in rays]
+        negative = [k for k, s in enumerate(values) if s < 0]
+        kept = [k for k, s in enumerate(values) if s >= 0]
+        new_rays = [rays[k] for k in kept]
+        new_zeros = [zeros[k] if values[k] else zeros[k] | bit for k in kept]
+        for p in [k for k in kept if values[k]]:
+            sp, zp = values[p], zeros[p]
+            for q in negative:
+                z = zp & zeros[q]
+                if z.bit_count() >= r - 2 and _only_pair(z, zeros):
+                    sq = values[q]
+                    new_rays.append(_primitive(
+                        [sp * b - sq * a for a, b in zip(rays[p], rays[q])]))
+                    new_zeros.append(z | bit)
+        rays, zeros = new_rays, new_zeros
+    return equations, tuple(rays), tuple(zeros)
+
+
+def _only_pair(z: int, zeros) -> bool:
+    """Whether at most two zero sets, the pair's own, contain z: the pair
+    is adjacent when no third ray is tight on all the rows it shares."""
+    seen = 0
+    for w in zeros:
+        if w & z == z:
+            seen += 1
+            if seen > 2:
+                return False
+    return True
 
 
 def convex_hull_vertices(points) -> tuple[Point, ...]:
     """The extreme points of a finite integer point set, sorted.
 
-    A point is kept iff it is outside the hull of the others.  Points proven
-    interior are dropped from later hull tests, which keeps the LP sizes
-    shrinking as the scan proceeds.  A coordinate that is not an int raises
-    TypeError.
+    One double description pass gives the facets.  With T_i the set of
+    facets tight at point i, a vertex's T is contained in no other point's,
+    while a non-vertex lies in a face with two vertices whose tight sets
+    strictly contain its own.  So, scanning by decreasing |T_i|, a point is
+    kept iff no point kept before it has a tight set containing T_i.  A
+    coordinate that is not an int raises TypeError.
     """
     pts = sorted(set(_integer_point(p) for p in points))
     if len(pts) <= 1:
@@ -121,25 +139,25 @@ def convex_hull_vertices(points) -> tuple[Point, ...]:
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
-    alive = list(pts)
-    idx = 0
-    while idx < len(alive):
-        candidate = alive[idx]
-        others = alive[:idx] + alive[idx + 1:]
-        if _in_convex_hull(candidate, others):
-            alive.pop(idx)
-        else:
-            idx += 1
-    return tuple(alive)
+    zeros = _double_description(pts)[2]
+    tight = [sum(1 << f for f, z in enumerate(zeros) if z >> i & 1)
+             for i in range(len(pts))]
+    kept = []
+    for i in sorted(range(len(pts)), key=lambda i: -tight[i].bit_count()):
+        if all(tight[k] & tight[i] != tight[i] for k in kept):
+            kept.append(i)
+    return tuple(pts[i] for i in sorted(kept))
 
 
 class LatticePolytope:
-    """Convex hull of finitely many integer points, represented by vertices."""
+    """Convex hull of finitely many integer points, represented by vertices;
+    `contains` builds the facet inequalities on its first call."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_facets")
 
     def __init__(self, points):
         self.vertices: tuple[Point, ...] = convex_hull_vertices(points)
+        self._facets = None
 
     @property
     def dim_ambient(self) -> int:
@@ -167,7 +185,12 @@ class LatticePolytope:
                 f"point of dim {len(point)} vs polytope of dim {self.dim_ambient}")
         if point in self.vertices:
             return True
-        return _in_convex_hull(point, self.vertices)
+        if self._facets is None:
+            self._facets = _double_description(self.vertices)[:2]
+        equations, inequalities = self._facets
+        x = (1,) + point
+        return (all(_dot(e, x) == 0 for e in equations)
+                and all(_dot(y, x) >= 0 for y in inequalities))
 
     def lattice_points(self, cap: int = 200000) -> tuple[Point, ...]:
         """All integer points of the polytope, by scanning the bounding box.
@@ -177,18 +200,11 @@ class LatticePolytope:
         """
         if not self.vertices:
             return ()
-        lo = [min(v[t] for v in self.vertices) for t in range(self.dim_ambient)]
-        hi = [max(v[t] for v in self.vertices) for t in range(self.dim_ambient)]
-        box = 1
-        for a, b in zip(lo, hi):
-            box *= b - a + 1
+        ranges = [range(min(col), max(col) + 1) for col in zip(*self.vertices)]
+        box = prod(map(len, ranges))
         if box > cap:
             raise ResourceLimit(f"bounding box has {box} points, over the cap {cap}")
-        out = []
-        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            if self.contains(p):
-                out.append(p)
-        return tuple(out)
+        return tuple(p for p in product(*ranges) if self.contains(p))
 
 
 def minkowski_sum(polys) -> LatticePolytope:
@@ -210,6 +226,7 @@ def translate(poly: LatticePolytope, shift) -> LatticePolytope:
     out = LatticePolytope.__new__(LatticePolytope)
     out.vertices = tuple(sorted(tuple(a + b for a, b in zip(v, shift))
                                 for v in poly.vertices))
+    out._facets = None
     return out
 
 

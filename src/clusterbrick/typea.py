@@ -11,6 +11,7 @@ the word restricted to an interval of labels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -44,10 +45,7 @@ class Triangulation:
 
     def diagonal_label(self, u: int, v: int) -> int | None:
         e = (min(u, v), max(u, v))
-        for idx, d in enumerate(self.diagonals, start=1):
-            if d == e:
-                return idx
-        return None
+        return self.diagonals.index(e) + 1 if e in self.diagonals else None
 
 
 def triangulation_of_coxeter(c: Word, start: int = 0) -> Triangulation:
@@ -198,12 +196,7 @@ def enumerate_tpaths(tri: Triangulation, gamma: CrossingDiagonal) -> tuple[TPath
     for signs in product((1, -1), repeat=d):
         travels = [ref if s == 1 else (ref[1], ref[0])
                    for ref, s in zip(refs, signs)]
-        ok = True
-        for k in range(d - 1):
-            if travels[k][1] == travels[k + 1][0]:
-                ok = False
-                break
-        if not ok:
+        if any(travels[k][1] == travels[k + 1][0] for k in range(d - 1)):
             continue
         steps: list[Step] = []
         cur = gamma.source
@@ -240,26 +233,16 @@ def monomial_of_tpath(path: TPath, n: int) -> Vec:
 
 def f_poly_via_tpaths(tri: Triangulation, i: int, j: int) -> FPolynomial:
     """F-polynomial of the root spanning labels i..j, summed over paths."""
-    gamma = diagonal_of_root(tri, i, j)
-    terms: dict[Vec, int] = {}
-    for path in enumerate_tpaths(tri, gamma):
-        m = monomial_of_tpath(path, tri.n)
-        terms[m] = terms.get(m, 0) + 1
-    return FPolynomial(tri.n, terms)
+    paths = enumerate_tpaths(tri, diagonal_of_root(tri, i, j))
+    return FPolynomial(tri.n, Counter(monomial_of_tpath(p, tri.n) for p in paths))
 
 
 def f_poly_via_prefixes(c: Word, i: int, j: int) -> FPolynomial:
     """Same F-polynomial from the word side: one monomial per prefix of c
     restricted to the labels i..j."""
-    n = len(c)
-    terms: dict[Vec, int] = {}
-    for prefix in restricted_prefixes(c, i, j):
-        m = [0] * n
-        for s in prefix:
-            m[s - 1] = 1
-        key = tuple(m)
-        terms[key] = terms.get(key, 0) + 1
-    return FPolynomial(n, terms)
+    labels = range(1, len(c) + 1)
+    return FPolynomial(len(c), Counter(tuple(int(s in prefix) for s in labels)
+                                       for prefix in restricted_prefixes(c, i, j)))
 
 
 def flip_tpath(tri: Triangulation, path: TPath, label: int) -> TPath:

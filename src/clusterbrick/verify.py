@@ -430,17 +430,18 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
                         "expected": common[i], "actual": w})
             else:
                 common[i] = w
-    along = {beta: (beta_co, root_to_weight_coords(cartan, beta))
-             for beta, beta_co in coroot_of_root(cartan).items() if min(beta) >= 0}
+    coroots, images = coroot_of_root(cartan), complex_.tables.weight_images
+    lam_negative: dict = {beta: {} for beta in coroots}
     for node in corr.nodes.values():
         old = node.table.weights
         for i in node.facet:
             beta = node.table.roots[i - 1]
-            if beta not in along:
+            if min(beta) < 0:
                 continue        # decreasing: the reverse of an increasing flip
             new_facet, j = flip(complex_, node.facet, i, node.table)
             new = corr.nodes[new_facet].table.weights
-            k = _first_upward(old, new, i, j, *along[beta])
+            k = _first_upward(old, new, i, j, images[beta], coroots[beta],
+                              lam_negative[beta])
             if k:
                 return _report("lemmas", cartan, c, started, {
                     "lemma": "increasing flips shift weights down",
@@ -459,13 +460,14 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     return _report("lemmas", cartan, c, started, None)
 
 
-def _first_upward(old: tuple, new: tuple, i: int, j: int, beta_co: Vec,
-                  beta_w: Vec) -> int:
+def _first_upward(old: tuple, new: tuple, i: int, j: int, images: dict,
+                  beta_co: Vec, lam_negative: dict) -> int:
     """The first position where the weight row `new` is not `old` moved
     down along the increasing flip i -> j of the positive root with coroot
-    `beta_co` and weight coordinates `beta_w`, or 0: outside i < k <= j
-    the rows agree, and inside new[k] is old[k] - lam beta_w with
-    lam = <old[k], beta^vee> >= 0."""
+    `beta_co`, or 0: outside i < k <= j the rows agree, and inside new[k]
+    is the pooled s_beta(old[k]) = old[k] - lam beta, `images[old[k]]`,
+    with lam = <old[k], beta^vee> >= 0.  `lam_negative` memoizes, per
+    weight, whether lam < 0."""
     if j < i:
         return i
     if old[:i] != new[:i] or old[j:] != new[j:]:
@@ -475,8 +477,10 @@ def _first_upward(old: tuple, new: tuple, i: int, j: int, beta_co: Vec,
         w, moved = old[k - 1], new[k - 1]
         if moved is w:
             continue
-        lam = sum(a * b for a, b in zip(w, beta_co))
-        if lam < 0 or moved != tuple(a - lam * b for a, b in zip(w, beta_w)):
+        up = lam_negative.get(w)
+        if up is None:
+            up = lam_negative[w] = sum(a * b for a, b in zip(w, beta_co)) < 0
+        if up or moved is not images[w]:
             return k
     return 0
 

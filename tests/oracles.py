@@ -241,3 +241,81 @@ def first_weight_moving_up(corr) -> tuple | None:
                 if diff is None or any(x < 0 for x in diff):
                     return node.facet, (i, j), k
     return None
+
+
+def _in_convex_hull(point, generators) -> bool:
+    """Exact test whether `point` is a convex combination of `generators`.
+
+    Solves the phase-one LP: minimize the sum of artificial variables in
+      sum_i lam_i g_i = p,  sum_i lam_i = 1,  lam >= 0.
+    Feasible with optimum zero iff the point is in the hull.
+
+    The tableau is fraction free (Bareiss; Avis, lrs): it holds integers
+    with one common denominator d > 0, so the true entries are T / d.  A
+    pivot on p = T[pr][pc] keeps the pivot row and sets every other row,
+    the objective included, to (x * p - f * y) // d, where f is the row's
+    entry in the pivot column; Sylvester's identity makes the division
+    exact.  Then d becomes p.  Bland's rule picks the same pivots as over
+    the rationals.  The artificial columns are never read, so they are not
+    stored; the artificial of row r has basis index cols + r.
+    """
+    if not generators:
+        return False
+    dim = len(point)
+    rows = dim + 1
+    cols = len(generators)
+    # tableau rows: lam_1..lam_k, rhs; the last row is sum lam = 1
+    tab = []
+    for r in range(dim):
+        row = [g[r] for g in generators]
+        row.append(point[r])
+        if point[r] < 0:
+            row = [-x for x in row]
+        tab.append(row)
+    tab.append([1] * (cols + 1))
+    # objective: sum of artificials, expressed in terms of non-basic columns.
+    # The basic artificials have reduced cost zero, so only the lam columns
+    # and the value cell pick up the row sums.
+    obj = [-sum(col) for col in zip(*tab)]
+    basis = [cols + r for r in range(rows)]
+    d = 1
+    while True:
+        # Bland's rule, and artificials never re-enter the basis.
+        pc = -1
+        for j in range(cols):
+            if obj[j] < 0:
+                pc = j
+                break
+        if pc < 0:
+            break
+        # least ratio rhs / a over a > 0, compared by cross-multiplying;
+        # ties go to the least basis index
+        pr = -1
+        for r in range(rows):
+            a = tab[r][pc]
+            if a > 0:
+                if pr < 0:
+                    pr = r
+                    continue
+                lhs = tab[r][-1] * tab[pr][pc]
+                rhs = tab[pr][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[pr]):
+                    pr = r
+        if pr < 0:
+            # unbounded phase-one cannot happen: objective is bounded below by 0
+            return False
+        prow = tab[pr]
+        p = prow[pc]
+        for r in range(rows):
+            if r != pr:
+                row = tab[r]
+                f = row[pc]
+                if f:
+                    tab[r] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    tab[r] = [x * p // d for x in row]
+        f = obj[pc]
+        obj = [(x * p - f * y) // d for x, y in zip(obj, prow)]
+        d = p
+        basis[pr] = pc
+    return obj[-1] == 0

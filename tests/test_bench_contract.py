@@ -90,6 +90,11 @@ def test_lattice_points_tests_each_box_point_through_contains(monkeypatch):
     found = triangle.lattice_points()
     assert len(calls) == len(set(calls)) == 4 * 3
     assert set(found) < set(calls)
+    # a second scan, after `contains` has built the inequalities, still
+    # tests every box point through it
+    calls.clear()
+    assert triangle.lattice_points() == found
+    assert len(calls) == len(set(calls)) == 4 * 3
 
 
 def test_constructing_a_polytope_hulls_through_the_module_global(monkeypatch):

@@ -119,3 +119,17 @@ def test_hull_against_exhaustive_membership():
             if pt not in hull:
                 smaller = LatticePolytope([q for q in cloud if q != pt])
                 assert smaller.contains(pt)
+
+
+def test_translated_polytope_answers_membership_and_lattice_points():
+    P = LatticePolytope([(0, 0), (2, 0), (0, 2)])
+    assert P.contains((1, 1))       # P has built its inequalities
+    Q = translate(P, (3, -1))
+    assert Q.vertices == ((3, -1), (3, 1), (5, -1))
+    assert Q.contains((4, 0)) and Q.contains((3, 0))
+    assert not Q.contains((1, 1)) and not Q.contains((5, 1))
+    assert Q.lattice_points() == tuple(sorted(
+        (x + 3, y - 1) for x, y in P.lattice_points()))
+    segment = translate(LatticePolytope([(0, 0, 0), (2, 2, 2)]), (1, 0, -1))
+    assert segment.contains((2, 1, 0)) and not segment.contains((2, 1, 1))
+    assert segment.lattice_points() == ((1, 0, -1), (2, 1, 0), (3, 2, 1))

@@ -1,10 +1,12 @@
-"""The fraction-free hull LP against a Fraction simplex oracle.
+"""The double description kernel against two LP oracles.
 
 `fraction_in_convex_hull` is the phase-one simplex the package ran before
-its integer kernel, artificial columns included: kept here as the slow
-reference, never on a hot path.  Hypothesis draws integer point sets in
-dimensions 1 to 6, with repeated points, negative coordinates and sets that
-lie on a random line or plane, which are degenerate for the simplex.
+its integer kernels, artificial columns included, and `_in_convex_hull` in
+`oracles` is the fraction-free integer simplex that replaced it; both are
+kept as slow references, never on a hot path.  Hypothesis draws integer
+point sets in dimensions 1 to 6, with repeated points, negative coordinates
+and sets that lie on a random line or plane, which are lower-dimensional
+for the hull and degenerate for the simplex.
 """
 
 import itertools
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterbrick.polytope import (LatticePolytope, _in_convex_hull,
-                                   convex_hull_vertices, minkowski_sum)
+from clusterbrick.polytope import LatticePolytope, convex_hull_vertices, minkowski_sum
+from clusterbrick.roots import cartan_of_type
+from clusterbrick.verify import build_correspondence
+from oracles import _in_convex_hull
 
 
 def fraction_in_convex_hull(point, generators) -> bool:
@@ -120,10 +124,13 @@ def test_kernel_agrees_with_fraction_oracle(case, data):
             extreme.append(p)
     assert convex_hull_vertices(pts) == tuple(extreme)
     # random queries against the raw points, repeats included
+    hull = LatticePolytope(pts)
     for _ in range(3):
         q = tuple(data.draw(st.lists(st.integers(-7, 7), min_size=dim,
                                      max_size=dim)))
-        assert _in_convex_hull(q, pts) == fraction_in_convex_hull(q, pts), (q, pts)
+        inside = fraction_in_convex_hull(q, pts)
+        assert _in_convex_hull(q, pts) == inside, (q, pts)
+        assert hull.contains(q) == inside, (q, pts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,13 +147,28 @@ def test_minkowski_sum_agrees_with_oracle_hull_of_vertex_sums(summands):
 
 def test_degenerate_pivots_match_the_oracle():
     # collinear and coplanar sets in three dimensions, where the phase-one
-    # basis stays degenerate for several pivots
+    # basis stays degenerate for several pivots and the hull has equations
     line = [(t, 2 * t - 1, -t) for t in range(-2, 4)]
     plane = [(a, b, a + b) for a in range(-1, 2) for b in range(-1, 2)]
     for pts in (line, plane):
         assert convex_hull_vertices(pts) == oracle_hull(pts)
+        hull = LatticePolytope(pts)
         for q in [(0, -1, 0), (1, 1, -1), (0, 0, 0), (1, 1, 2), (2, 2, 5)]:
-            assert _in_convex_hull(q, pts) == fraction_in_convex_hull(q, pts)
+            inside = fraction_in_convex_hull(q, pts)
+            assert _in_convex_hull(q, pts) == inside
+            assert hull.contains(q) == inside
+
+
+@pytest.mark.parametrize("family, rank", [("B", 3), ("C", 3), ("D", 4)])
+def test_lattice_points_match_a_box_scan_through_the_lp_oracle(family, rank):
+    corr = build_correspondence(cartan_of_type(family, rank), tuple(range(1, rank + 1)))
+    polys = list(corr.newton_polytopes.values()) + list(corr.column_hulls.values())
+    assert len(polys) == 2 * len(corr.variables)
+    for P in polys:
+        box = itertools.product(*(range(min(col), max(col) + 1)
+                                  for col in zip(*P.vertices)))
+        assert P.lattice_points() == tuple(
+            p for p in box if _in_convex_hull(p, P.vertices)), P
 
 
 @pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), Fraction(1), 1.0, True, False])

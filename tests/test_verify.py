@@ -447,9 +447,48 @@ def test_minkowski_at_rank_four():
     _assert_minkowski_holds_at_rank_four(("A", "D"))
 
 
-@pytest.mark.stretch
-def test_minkowski_at_rank_four_stretch():
+def test_minkowski_at_rank_four_non_simply_laced():
+    """B4, C4 and F4 (c = 1234); F4 took about 50 s on the per-point LP
+    hulls and takes about a second on the double description kernel."""
     _assert_minkowski_holds_at_rank_four(("B", "C", "F"))
+
+
+@pytest.mark.parametrize("family, rank, facets", [("F", 4, 105), ("D", 5, 182)])
+def test_brick_polytope_has_one_vertex_per_facet(family, rank, facets):
+    cx = build_complex(cartan_of_type(family, rank), tuple(range(1, rank + 1)))
+    bricks = [subword.brick_vector(cx, facet, table)
+              for facet, table in enumerate_facets_with_tables(cx).items()]
+    assert len(bricks) == facets
+    assert sorted(polytope.convex_hull_vertices(bricks)) == sorted(bricks)
+
+
+RANK_FIVE_POLYTOPES = """
+import time
+from clusterbrick.roots import cartan_of_type
+from clusterbrick.verify import run_checks
+start = time.perf_counter()
+passed = [r.passed for family, rank, checks in (
+              ("D", 5, ("minkowski",)), ("B", 5, ("minkowski",)),
+              ("E", 7, ("newton", "lattice")))
+          for r in run_checks(cartan_of_type(family, rank),
+                              tuple(range(1, rank + 1)), checks)]
+print(all(passed), len(passed), time.perf_counter() - start)
+"""
+
+
+@pytest.mark.stretch
+def test_rank_five_minkowski_and_e7_lattice_fit_in_60_s_stretch():
+    """`minkowski` on D5 and B5 and `newton`, `lattice` on E7 (c = 1..n),
+    walks included, pass in under 60 s in a fresh process.  Measured on a
+    2-core Python 3.11 host: about 7 s (E7 `lattice` alone took 5.7 s on
+    the per-point LP hulls)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", RANK_FIVE_POLYTOPES], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    passed, count, elapsed = result.stdout.split()
+    assert (passed, count) == ("True", "4")
+    assert float(elapsed) < 60
 
 
 E7_CHECKS = """
