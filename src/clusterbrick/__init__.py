@@ -9,8 +9,7 @@ from .cluster import (FPolynomial, MPoly, Seed, c_vector, c_vectors, d_vector,
                       format_laurent, g_vector, initial_matrix, initial_seed,
                       mutate, principal_part, tropical_add, variable_names)
 from .coxeter import (c_sorting_word, canonical_commutation_word, coxeter_words,
-                      element_of_word, is_reduced, length, longest_element,
-                      restricted_prefixes)
+                      longest_element, restricted_prefixes)
 from .errors import (ClusterBrickError, DimensionMismatch, InexactDivision,
                      InvalidCartanMatrix, InvalidCartanType, InvariantViolation,
                      NotInRootLattice, ResourceLimit)

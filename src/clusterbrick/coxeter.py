@@ -1,34 +1,25 @@
-"""Weyl group elements as exact integer matrices and word combinatorics.
+"""Words in the Weyl group, the one ascent to its longest element, and word
+combinatorics.
 
-A group element is stored as the n x n integer matrix of its action on
-simple-root coordinates.  A word is a tuple of 1-based letter indices; the
-element of a word applies the rightmost letter first, so the matrix is the
-left-to-right product of the letters' reflection matrices.
+A word is a tuple of 1-based letter indices; its element applies the
+rightmost letter first.  Group elements are not stored: `ascent_to_w0`
+follows the regular weight rho = (1, ..., 1), in fundamental-weight
+coordinates, through simple reflections, and the sorting word, the
+antigreedy facet and the facet test all read that one ascent.
+`longest_element` writes w0 out as a matrix, for callers that want one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable
 
 from .errors import InvariantViolation
-from .roots import CartanMatrix, Vec, _eliminate, positive_roots, reflect_root
+from .roots import CartanMatrix, _eliminate, positive_roots, reflect_root, reflect_weight
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def apply_matrix(m: Matrix, v: Vec) -> Vec:
-    return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in m)
 
 
 def det_int(m: Matrix) -> int:
@@ -38,80 +29,60 @@ def det_int(m: Matrix) -> int:
     return sign * last
 
 
-@functools.lru_cache(maxsize=None)
-def reflection_matrices(cartan: CartanMatrix) -> tuple[Matrix, ...]:
-    """Matrices of the simple reflections on simple-root coordinates, index s-1."""
+def ascent_to_w0(cartan: CartanMatrix, letters: Iterable[int]) -> list[int] | None:
+    """Indices into `letters` that the greedy ascent to the longest element
+    w0 takes, or None when the letters run out before it gets there.
+
+    The ascent starts at the identity and multiplies its product u on the
+    right by each letter q that lengthens it.  u s_q is longer than u
+    exactly when coordinate q of u^-1 rho is positive, and u is w0 exactly
+    when u^-1 rho = w0 rho = -rho, as rho has trivial stabilizer; the
+    ascent stops there and reads no further letter.
+    """
     n = cartan.n
-    out = []
-    for s in range(1, n + 1):
-        cols = [reflect_root(cartan, s, tuple(1 if t == c else 0 for t in range(n)))
-                for c in range(n)]
-        out.append(tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
-    return tuple(out)
+    v, goal = (1,) * n, (-1,) * n     # u^-1 rho, and its value at u = w0
+    taken = []
+    for k, q in enumerate(letters):
+        if v[q - 1] > 0:
+            v = reflect_weight(cartan, q, v)
+            taken.append(k)
+            if v == goal:
+                return taken
+    return None
 
 
-def element_of_word(cartan: CartanMatrix, word: Word) -> Matrix:
-    """Matrix of the product of simple reflections, rightmost applied first."""
-    mats = reflection_matrices(cartan)
-    acc = identity_matrix(cartan.n)
-    for s in word:
-        acc = mat_mul(acc, mats[s - 1])
-    return acc
+def c_sorting_word(cartan: CartanMatrix, c: Word) -> Word:
+    """The c-sorting word of w0: the letters the ascent to w0 takes from
+    c, c, c, ..., the lexicographically first reduced word for w0 in the
+    infinite repetition of c.
 
-
-def _is_negative(v: Vec) -> bool:
-    return all(x <= 0 for x in v) and any(x < 0 for x in v)
-
-
-def length(cartan: CartanMatrix, g: Matrix) -> int:
-    """Number of positive roots sent to negative roots by g."""
-    return sum(1 for beta in positive_roots(cartan) if _is_negative(apply_matrix(g, beta)))
+    Below w0 some letter lengthens u, so each pass over c takes a letter,
+    and the scan stops after one pass per positive root at the latest.  A c
+    that is not a permutation of 1..n raises ValueError before the scan.
+    """
+    n = cartan.n
+    if sorted(c) != list(range(1, n + 1)):
+        raise ValueError(f"Coxeter word {c} is not a permutation of 1..{n}")
+    scan = itertools.islice(itertools.cycle(c), n * len(positive_roots(cartan)))
+    taken = ascent_to_w0(cartan, scan)
+    if taken is None:
+        raise InvariantViolation("sorting-word scan exceeded its cap")  # pragma: no cover
+    return tuple(c[k % n] for k in taken)
 
 
 @functools.lru_cache(maxsize=None)
 def longest_element(cartan: CartanMatrix) -> Matrix:
-    """The longest element, found once per Cartan matrix by greedy length
-    ascent from the identity."""
+    """The matrix of w0 on simple-root coordinates.  Column t is w0(alpha_t):
+    alpha_t reflected along the sorting word of w0, rightmost letter first."""
     n = cartan.n
-    mats = reflection_matrices(cartan)
-    g = identity_matrix(n)
-    while True:
-        for s in range(n):
-            col = tuple(g[r][s] for r in range(n))
-            if not _is_negative(col):  # g(alpha_s) positive: right-multiplying ascends
-                g = mat_mul(g, mats[s])
-                break
-        else:
-            return g
-
-
-def is_reduced(cartan: CartanMatrix, word: Word) -> bool:
-    return length(cartan, element_of_word(cartan, word)) == len(word)
-
-
-def c_sorting_word(cartan: CartanMatrix, c: Word, target: Matrix) -> Word:
-    """Greedy subword of c, c, c, ... spelling a reduced word for target.
-
-    Scanning the letters of c cyclically, a letter is taken exactly when it
-    is a left descent of the not-yet-spelled remainder r.  The remainder is
-    tracked by its image r(2 rho) in simple-root coordinates, 2 rho being
-    the sum of the positive roots: s is a left descent of r exactly when
-    r^-1(alpha_s) is negative, that is when <r(2 rho), alpha_s^vee> < 0,
-    and r is spelled out when r(2 rho) = 2 rho.  The result is the
-    lexicographically first reduced word for target as a subword of the
-    infinite repetition of c.
-    """
-    two_rho = tuple(map(sum, zip(*positive_roots(cartan))))
-    v = apply_matrix(target, two_rho)   # r(2 rho) for the remainder r
-    word: list[int] = []
-    for _ in range(len(positive_roots(cartan)) + 1):    # a pass takes a letter
-        for s in c:
-            if v == two_rho:
-                return tuple(word)
-            if sum(a * x for a, x in zip(cartan.rows[s - 1], v)) < 0:
-                word.append(s)
-                v = reflect_root(cartan, s, v)
-    raise InvariantViolation("sorting-word scan exceeded its cap")  # pragma: no cover
+    word = c_sorting_word(cartan, tuple(range(1, n + 1)))
+    cols = []
+    for t in range(n):
+        v = tuple(int(r == t) for r in range(n))
+        for s in reversed(word):
+            v = reflect_root(cartan, s, v)
+        cols.append(v)
+    return tuple(zip(*cols))
 
 
 def coxeter_words(cartan: CartanMatrix) -> tuple[Word, ...]:

@@ -24,10 +24,9 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .coxeter import Word, c_sorting_word, longest_element
+from .coxeter import Word, ascent_to_w0, c_sorting_word
 from .errors import InvariantViolation
-from .roots import (CartanMatrix, ReflectionTables, Vec, positive_roots,
-                    reflect_weight, reflection_tables)
+from .roots import CartanMatrix, ReflectionTables, Vec, positive_roots, reflection_tables
 
 Facet = tuple[int, ...]
 
@@ -48,23 +47,14 @@ class ClusterComplex:
 
     @functools.cached_property
     def antigreedy(self) -> Facet:
-        """Lexicographically last facet, found once: the positions skipped
-        by a left-to-right sweep that absorbs every letter lengthening the
-        product u of the letters absorbed, which spells the longest element
-        from the earliest positions.  With rho = (1, ..., 1) in weight
-        coordinates, u s_q is longer than u exactly when coordinate q of
-        u^-1 rho is positive, and u is the longest element exactly when
-        u^-1 rho = -rho, as rho has trivial stabilizer."""
-        v = (1,) * self.n
-        skipped = []
-        for k, q in enumerate(self.word, start=1):
-            if v[q - 1] > 0:
-                v = reflect_weight(self.cartan, q, v)
-            else:
-                skipped.append(k)
-        if v != (-1,) * self.n or len(skipped) != self.n:
-            raise InvariantViolation("length sweep did not absorb a longest word")
-        return tuple(skipped)
+        """Lexicographically last facet, found once: the positions that the
+        ascent to the longest element skips along the word, which spells
+        it from the earliest positions."""
+        taken = ascent_to_w0(self.cartan, self.word)
+        if taken is None or self.m - len(taken) != self.n:
+            raise InvariantViolation("the ascent did not absorb a longest word")
+        taken = set(taken)
+        return tuple(k for k in range(1, self.m + 1) if k - 1 not in taken)
 
     @property
     def n(self) -> int:
@@ -91,9 +81,7 @@ class RootTable:
 
 def build_complex(cartan: CartanMatrix, c: Word) -> ClusterComplex:
     n = cartan.n
-    if sorted(c) != list(range(1, n + 1)):
-        raise ValueError(f"Coxeter word {c} is not a permutation of 1..{n}")
-    word = tuple(c) + c_sorting_word(cartan, c, longest_element(cartan))
+    word = tuple(c) + c_sorting_word(cartan, c)     # ValueError on a malformed c
     tables = reflection_tables(cartan)
     # The greedy facet's roots: the simple roots of c, then the positive
     # roots in the order the sorting word sweeps them.
@@ -127,20 +115,19 @@ def antigreedy_facet(complex_: ClusterComplex) -> Facet:
 
 
 def is_facet(complex_: ClusterComplex, positions: Facet) -> bool:
-    """True when the complement of `positions` spells the longest element
-    w0: the complement's product u is w0 exactly when u^-1 sends
-    rho = (1, ..., 1), weight coordinates, to w0 rho = -rho."""
-    n = complex_.n
-    if len(positions) != n or len(set(positions)) != len(positions):
-        return False
-    if any(not 1 <= k <= complex_.m for k in positions):
-        return False
+    """True when `positions` are n distinct positions whose complement
+    spells the longest element w0: the ascent to w0 takes every letter of
+    the complement, so it is a reduced word for w0, one letter per positive
+    root.  A position that is not an int raises TypeError."""
+    for k in positions:
+        if type(k) is not int:
+            raise TypeError(f"position {k!r} of {positions!r} is not an int")
     chosen = set(positions)
-    v = (1,) * n
-    for k, q in enumerate(complex_.word, start=1):
-        if k not in chosen:
-            v = reflect_weight(complex_.cartan, q, v)
-    return v == (-1,) * n
+    if not len(chosen) == len(positions) == complex_.n:
+        return False
+    rest = [q for k, q in enumerate(complex_.word, start=1) if k not in chosen]
+    taken = ascent_to_w0(complex_.cartan, rest)
+    return taken is not None and len(taken) == len(rest)
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:

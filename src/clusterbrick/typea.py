@@ -54,7 +54,9 @@ def triangulation_of_coxeter(c: Word, start: int = 0) -> Triangulation:
     The first ear is cut at `start`.  For i from 2 to n the next ear sits at
     the clockwise neighbor of the previous one when label i occurs before
     label i-1 in c, at the counterclockwise neighbor otherwise.  Diagonal i
-    is the edge closing the ear cut at step i.
+    is the edge closing the ear cut at step i, so the triangle cut at step i
+    has sides i-1 and i: the cut triangles, then the last three vertices,
+    are the strip in dual-path order.
     """
     n = len(c)
     size = n + 3
@@ -63,56 +65,23 @@ def triangulation_of_coxeter(c: Word, start: int = 0) -> Triangulation:
         raise ValueError(f"{c} is not a permutation of 1..{n}")
     remaining = [(start + k) % size for k in range(size)]
     diagonals = []
+    strip = []
     ear = start
     for i in range(1, n + 1):
         idx = remaining.index(ear)
         cw = remaining[idx - 1]
         ccw = remaining[(idx + 1) % len(remaining)]
         diagonals.append((min(cw, ccw), max(cw, ccw)))
+        strip.append(tuple(sorted((cw, ear, ccw))))
         remaining.pop(idx)
         if i < n:
             ear = cw if position[i + 1] < position[i] else ccw
-    strip = _dual_strip(n, tuple(diagonals), size)
-    return Triangulation(n, tuple(diagonals), strip)
-
-
-def _dual_strip(n: int, diagonals: tuple[Edge, ...], size: int) -> tuple[Triangle, ...]:
-    edges = set(diagonals)
-    for j in range(size):
-        edges.add((min(j, (j + 1) % size), max(j, (j + 1) % size)))
-    triangles = []
-    for a in range(size):
-        for b in range(a + 1, size):
-            for cc in range(b + 1, size):
-                if ((a, b) in edges and (b, cc) in edges and (a, cc) in edges):
-                    triangles.append((a, b, cc))
-    if len(triangles) != n + 1:
-        raise InvariantViolation(f"{len(triangles)} triangles, expected {n + 1}")
-
-    def has_diag(tri: Triangle, d: Edge) -> bool:
-        return d[0] in tri and d[1] in tri
-
+    strip.append(tuple(sorted(remaining)))
     if n == 1:
-        # Both triangles of the square contain the lone diagonal; any order
+        # Both triangles of the square hold the lone diagonal; either order
         # gives the same crossing set, so take the lexicographic one.
-        return tuple(sorted(triangles))
-
-    strip = []
-    for k in range(n + 1):
-        if k == 0:
-            want, avoid = diagonals[0], diagonals[1]
-            cands = [t for t in triangles
-                     if has_diag(t, want) and not has_diag(t, avoid)]
-        elif k < n:
-            cands = [t for t in triangles
-                     if has_diag(t, diagonals[k - 1]) and has_diag(t, diagonals[k])]
-        else:
-            cands = [t for t in triangles
-                     if has_diag(t, diagonals[n - 1]) and t != strip[n - 1]]
-        if len(cands) != 1:
-            raise InvariantViolation(f"dual strip not a path at step {k}: {cands}")
-        strip.append(cands[0])
-    return tuple(strip)
+        strip.sort()
+    return Triangulation(n, tuple(diagonals), tuple(strip))
 
 
 @dataclass(frozen=True)

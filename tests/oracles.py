@@ -1,19 +1,83 @@
 """Slow reference models that the tests compare the engine against, each
 independent of the fast path it checks; they are not package API."""
 
+import functools
 from collections import deque
 from itertools import combinations
 
 from clusterbrick.cluster import (FPolynomial, MPoly, Seed, initial_matrix, initial_seed,
                                   mutate, principal_part)
-from clusterbrick.coxeter import (Matrix, Word, apply_matrix, det_int, identity_matrix,
-                                  longest_element, mat_mul, reflection_matrices,
-                                  restricted_prefixes)
+from clusterbrick.coxeter import Matrix, Word, det_int, restricted_prefixes
 from clusterbrick.errors import InvariantViolation, NotInRootLattice
 from clusterbrick.polytope import convex_hull_vertices
 from clusterbrick.roots import (CartanMatrix, Vec, det_adjugate, positive_roots, reflect_root,
                                 reflect_weight, transpose, weight_diff_to_root_coords)
 from clusterbrick.subword import ClusterComplex, Facet, flip, is_facet
+from clusterbrick.typea import Edge, Triangle
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def apply_matrix(m: Matrix, v: Vec) -> Vec:
+    return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in m)
+
+
+@functools.lru_cache(maxsize=None)
+def reflection_matrices(cartan: CartanMatrix) -> tuple[Matrix, ...]:
+    """Matrices of the simple reflections on simple-root coordinates, index s-1."""
+    n = cartan.n
+    out = []
+    for s in range(1, n + 1):
+        cols = [reflect_root(cartan, s, tuple(1 if t == c else 0 for t in range(n)))
+                for c in range(n)]
+        out.append(tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
+    return tuple(out)
+
+
+def element_of_word(cartan: CartanMatrix, word: Word) -> Matrix:
+    """Matrix of the product of simple reflections, rightmost applied first."""
+    mats = reflection_matrices(cartan)
+    acc = identity_matrix(cartan.n)
+    for s in word:
+        acc = mat_mul(acc, mats[s - 1])
+    return acc
+
+
+def _is_negative(v: Vec) -> bool:
+    return all(x <= 0 for x in v) and any(x < 0 for x in v)
+
+
+def length(cartan: CartanMatrix, g: Matrix) -> int:
+    """Number of positive roots sent to negative roots by g."""
+    return sum(1 for beta in positive_roots(cartan) if _is_negative(apply_matrix(g, beta)))
+
+
+def is_reduced(cartan: CartanMatrix, word: Word) -> bool:
+    return length(cartan, element_of_word(cartan, word)) == len(word)
+
+
+@functools.lru_cache(maxsize=None)
+def longest_element_by_matrices(cartan: CartanMatrix) -> Matrix:
+    """The longest element by greedy length ascent from the identity, one
+    matrix product per letter: right-multiply by s while g(alpha_s) is
+    positive."""
+    n = cartan.n
+    mats = reflection_matrices(cartan)
+    g = identity_matrix(n)
+    while True:
+        for s in range(n):
+            if not _is_negative(tuple(g[r][s] for r in range(n))):
+                g = mat_mul(g, mats[s])
+                break
+        else:
+            return g
 
 
 def word_action_root(cartan: CartanMatrix, word: Word, v: Vec) -> Vec:
@@ -154,10 +218,6 @@ def matrix_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(det * x for x in row) for row in adj)
 
 
-def _is_negative(v: Vec) -> bool:
-    return all(x <= 0 for x in v) and any(x < 0 for x in v)
-
-
 def is_facet_by_matrices(complex_: ClusterComplex, positions) -> bool:
     """True when the matrix product of the complement letters of
     `positions` is the longest element."""
@@ -170,7 +230,7 @@ def is_facet_by_matrices(complex_: ClusterComplex, positions) -> bool:
     for k, q in enumerate(complex_.word, start=1):
         if k not in positions:
             acc = mat_mul(acc, mats[q - 1])
-    return acc == longest_element(complex_.cartan)
+    return acc == longest_element_by_matrices(complex_.cartan)
 
 
 def antigreedy_by_matrices(complex_: ClusterComplex) -> Facet:
@@ -186,7 +246,7 @@ def antigreedy_by_matrices(complex_: ClusterComplex) -> Facet:
             u = mat_mul(u, mats[q - 1])
         else:
             skipped.append(k)
-    if u != longest_element(complex_.cartan) or len(skipped) != n:
+    if u != longest_element_by_matrices(complex_.cartan) or len(skipped) != n:
         raise InvariantViolation("length sweep did not absorb a longest word")
     return tuple(skipped)
 
@@ -319,3 +379,45 @@ def _in_convex_hull(point, generators) -> bool:
         d = p
         basis[pr] = pc
     return obj[-1] == 0
+
+
+def _dual_strip(n: int, diagonals: tuple[Edge, ...], size: int) -> tuple[Triangle, ...]:
+    """The triangles of a snake triangulation in dual-path order, found by
+    searching every triple of polygon vertices for one bounded by sides and
+    diagonals, then chaining them through shared diagonals."""
+    edges = set(diagonals)
+    for j in range(size):
+        edges.add((min(j, (j + 1) % size), max(j, (j + 1) % size)))
+    triangles = []
+    for a in range(size):
+        for b in range(a + 1, size):
+            for cc in range(b + 1, size):
+                if ((a, b) in edges and (b, cc) in edges and (a, cc) in edges):
+                    triangles.append((a, b, cc))
+    if len(triangles) != n + 1:
+        raise InvariantViolation(f"{len(triangles)} triangles, expected {n + 1}")
+
+    def has_diag(tri: Triangle, d: Edge) -> bool:
+        return d[0] in tri and d[1] in tri
+
+    if n == 1:
+        # Both triangles of the square contain the lone diagonal; any order
+        # gives the same crossing set, so take the lexicographic one.
+        return tuple(sorted(triangles))
+
+    strip = []
+    for k in range(n + 1):
+        if k == 0:
+            want, avoid = diagonals[0], diagonals[1]
+            cands = [t for t in triangles
+                     if has_diag(t, want) and not has_diag(t, avoid)]
+        elif k < n:
+            cands = [t for t in triangles
+                     if has_diag(t, diagonals[k - 1]) and has_diag(t, diagonals[k])]
+        else:
+            cands = [t for t in triangles
+                     if has_diag(t, diagonals[n - 1]) and t != strip[n - 1]]
+        if len(cands) != 1:
+            raise InvariantViolation(f"dual strip not a path at step {k}: {cands}")
+        strip.append(cands[0])
+    return tuple(strip)

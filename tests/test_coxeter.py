@@ -1,17 +1,17 @@
-"""Weyl group elements as matrices, reduced words, sorting words, prefixes."""
+"""The ascent to the longest element and the sorting word, against the
+Weyl group as matrices; reduced words and prefixes."""
 
 import itertools
 
 import pytest
 
 from clusterbrick.roots import cartan_of_type, positive_roots
-from clusterbrick.coxeter import (apply_matrix, c_sorting_word,
+from clusterbrick.coxeter import (ascent_to_w0, c_sorting_word,
                                   canonical_commutation_word, coxeter_words,
-                                  element_of_word, identity_matrix,
-                                  is_reduced, length, longest_element,
-                                  mat_mul, reflection_matrices,
-                                  restricted_prefixes)
-from oracles import word_action_root, word_action_weight
+                                  longest_element, restricted_prefixes)
+from oracles import (apply_matrix, element_of_word, identity_matrix, is_reduced,
+                     length, longest_element_by_matrices, mat_mul,
+                     reflection_matrices, word_action_root, word_action_weight)
 
 
 def group_elements(cartan):
@@ -58,6 +58,7 @@ def test_longest_element():
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("G", 2), ("D", 4)]:
         cartan = cartan_of_type(family, rank)
         w0 = longest_element(cartan)
+        assert w0 == longest_element_by_matrices(cartan)
         assert mat_mul(w0, w0) == identity_matrix(rank)
         assert length(cartan, w0) == len(positive_roots(cartan))
         # w0 sends every positive root to a negative one
@@ -88,13 +89,29 @@ def test_word_actions_match_matrices():
 
 def test_sorting_word_goldens():
     A2 = cartan_of_type("A", 2)
-    assert c_sorting_word(A2, (1, 2), longest_element(A2)) == (1, 2, 1)
-    assert c_sorting_word(A2, (2, 1), longest_element(A2)) == (2, 1, 2)
+    assert c_sorting_word(A2, (1, 2)) == (1, 2, 1)
+    assert c_sorting_word(A2, (2, 1)) == (2, 1, 2)
     A3 = cartan_of_type("A", 3)
-    assert c_sorting_word(A3, (1, 3, 2), longest_element(A3)) == (
-        1, 3, 2, 1, 3, 2)
-    assert c_sorting_word(A3, (1, 2, 3), longest_element(A3)) == (
-        1, 2, 3, 1, 2, 1)
+    assert c_sorting_word(A3, (1, 3, 2)) == (1, 3, 2, 1, 3, 2)
+    assert c_sorting_word(A3, (1, 2, 3)) == (1, 2, 3, 1, 2, 1)
+
+
+@pytest.mark.parametrize("c", [(1,), (1, 1), (1, 2, 3)])
+def test_sorting_word_rejects_a_c_that_is_not_a_permutation(c):
+    with pytest.raises(ValueError, match="not a permutation"):
+        c_sorting_word(cartan_of_type("A", 2), c)
+
+
+def test_ascent_takes_each_lengthening_letter_and_stops_at_w0():
+    A2 = cartan_of_type("A", 2)
+    assert ascent_to_w0(A2, (1, 2, 1)) == [0, 1, 2]
+    assert ascent_to_w0(A2, (1, 1, 2, 2, 1, 2)) == [0, 2, 4]
+    # a reduced word one letter short of w0, and a word holding no reduced
+    # word for w0, never reach it
+    assert ascent_to_w0(A2, (1, 2)) is None
+    assert ascent_to_w0(A2, (1, 1, 2, 2)) is None
+    # letters after w0 are not read
+    assert ascent_to_w0(A2, itertools.chain((2, 1, 2), itertools.repeat(0))) == [0, 1, 2]
 
 
 def greedy_embedding(word, c):
@@ -125,9 +142,9 @@ def all_reduced_words(cartan, g):
 def test_sorting_word_properties():
     for family, rank in [("A", 3), ("B", 3), ("D", 4)]:
         cartan = cartan_of_type(family, rank)
-        w0 = longest_element(cartan)
+        w0 = longest_element_by_matrices(cartan)
         for c in coxeter_words(cartan):
-            word = c_sorting_word(cartan, c, w0)
+            word = c_sorting_word(cartan, c)
             assert is_reduced(cartan, word)
             assert element_of_word(cartan, word) == w0
             # blocks cut at copy boundaries of c have nested supports
@@ -142,11 +159,11 @@ def test_sorting_word_properties():
 def test_sorting_word_is_first_embedding():
     for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         cartan = cartan_of_type(family, rank)
-        w0 = longest_element(cartan)
+        w0 = longest_element_by_matrices(cartan)
         for c in coxeter_words(cartan):
             best = min(all_reduced_words(cartan, w0),
                        key=lambda w: greedy_embedding(w, c))
-            assert c_sorting_word(cartan, c, w0) == best
+            assert c_sorting_word(cartan, c) == best
 
 
 def test_restricted_prefixes_rejects_bad_interval():

@@ -163,3 +163,22 @@ def test_e8_correspondence_fits_in_90_s_and_300_mb_stretch():
     assert (int(facets), passed) == (25080, "True")
     assert float(elapsed) < 90
     assert int(peak_kb) < 300 * 1024
+
+
+E8_WALK_CHECKS = E8_CORRESPONDENCE.replace(
+    '("c-vectors", "g-vectors", "exchange")', '("lemmas", "newton", "lattice")')
+
+
+@pytest.mark.stretch
+def test_e8_lemmas_newton_and_lattice_fit_in_120_s_and_300_mb_stretch():
+    """The E8 lockstep walk and the lemma, Newton polytope and lattice point
+    checks on it pass in under 120 s at under 300 MB peak RSS.  Measured on
+    a 2-core Python 3.11 host: about 56 s at 159 MB."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", E8_WALK_CHECKS], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    facets, passed, elapsed, peak_kb = result.stdout.split()
+    assert (int(facets), passed) == (25080, "True")
+    assert float(elapsed) < 120
+    assert int(peak_kb) < 300 * 1024

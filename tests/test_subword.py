@@ -5,7 +5,7 @@ import pytest
 from clusterbrick.roots import cartan_of_type, coroot_of_root, positive_roots
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.errors import InvariantViolation
-from clusterbrick.subword import (RootTable, antigreedy_facet, brick_vector,
+from clusterbrick.subword import (ClusterComplex, RootTable, antigreedy_facet, brick_vector,
                                   build_complex, enumerate_facets,
                                   enumerate_facets_with_tables, flip,
                                   greedy_facet, is_facet, root_table,
@@ -33,11 +33,28 @@ def test_facets_A2():
 
 
 def test_is_facet():
-    cx = build_complex(A2, (1, 2))
+    cx = build_complex(A2, (1, 2))        # word 1 2 1 2 1
     assert is_facet(cx, (3, 4))
+    # complements 1 1 1 and 2 2 1 repeat a letter, so they are not reduced
     assert not is_facet(cx, (2, 4))
     assert not is_facet(cx, (1, 3))
     assert not is_facet(cx, (3,))
+    # the complement 1 2 of (1, 2) in the word 1 2 1 2 is one letter short of w0
+    assert not is_facet(ClusterComplex(A2, (1, 2), (1, 2, 1, 2), ()), (1, 2))
+
+
+def test_is_facet_rejects_a_position_that_is_not_an_int():
+    cx = build_complex(A2, (1, 2))
+    for positions in ((True, 2), (1.0, 2)):
+        with pytest.raises(TypeError, match="not an int"):
+            is_facet(cx, positions)
+
+
+def test_antigreedy_needs_a_reduced_word_for_the_longest_element():
+    # 1 1 2 2 holds neither 1 2 1 nor 2 1 2
+    broken = ClusterComplex(A2, (1, 2), (1, 1, 2, 2), ())
+    with pytest.raises(InvariantViolation, match="did not absorb a longest word"):
+        antigreedy_facet(broken)
 
 
 def test_root_row_golden():

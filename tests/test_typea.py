@@ -1,5 +1,7 @@
 """Polygon model: snake triangulations, T-paths, interval prefixes."""
 
+import itertools
+
 import pytest
 
 from clusterbrick.roots import cartan_of_type, root_to_weight_coords
@@ -10,7 +12,7 @@ from clusterbrick.typea import (ambient_representative, boundary_letter,
                                 f_poly_via_prefixes, f_poly_via_tpaths,
                                 flip_tpath, monomial_of_tpath,
                                 triangulation_of_coxeter)
-from oracles import all_cluster_variables, loday_summands
+from oracles import _dual_strip, all_cluster_variables, loday_summands
 
 
 def test_triangulation_goldens():
@@ -141,6 +143,14 @@ def test_boundary_letter_distinct_per_triangulation():
     edges = [(u, u + 1) for u in range(5)] + [(5, 0)]
     letters = {boundary_letter(tri, u, v) for u, v in edges}
     assert len(letters) == len(edges)
+
+
+def test_strip_read_off_the_ear_cutting_matches_the_triple_search():
+    for n in range(1, 7):
+        for c in itertools.permutations(range(1, n + 1)):
+            for start in range(n + 3):
+                tri = triangulation_of_coxeter(c, start)
+                assert tri.strip == _dual_strip(n, tri.diagonals, n + 3), (c, start)
 
 
 def test_rotation_start_preserves_fpolys():
