@@ -258,7 +258,7 @@ def _cmd_verify(args) -> int:
         names = None
     else:
         names = tuple(x.strip() for x in args.checks.split(",") if x.strip())
-    reports = run_checks(cartan, c, names=names, jobs=args.jobs)
+    reports = run_checks(cartan, c, names=names)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {report.name:<10} {report.label} "
@@ -273,16 +273,6 @@ def _cmd_verify(args) -> int:
             "passed": r.passed, "counterexample": r.counterexample,
             "elapsed": r.elapsed} for r in reports]})
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _jobs(text: str) -> int:
-    try:
-        value = _natural(text, "--jobs")
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -319,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--checks",
                            help="comma separated check names, or 'all'")
-            p.add_argument("--jobs", type=_jobs, default=1,
-                           help="worker threads for the checks, at least 1")
     return parser
 
 

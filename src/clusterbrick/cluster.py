@@ -35,6 +35,7 @@ import struct
 from dataclasses import dataclass, field
 from operator import add, sub
 
+from .coxeter import check_coxeter_word
 from .errors import (DimensionMismatch, InexactDivision, InvariantViolation,
                      ResourceLimit)
 from .roots import CartanMatrix, Vec
@@ -360,9 +361,11 @@ def initial_matrix(cartan: CartanMatrix, c) -> tuple[tuple[int, ...], ...]:
     """Extended matrix of the initial seed for the Coxeter word c.
 
     Exchange block: entry (s, t) is -a_st when s precedes t in c and +a_st
-    otherwise; the coefficient block starts as the identity.
+    otherwise; the coefficient block starts as the identity.  A c that
+    `check_coxeter_word` rejects raises.
     """
     n = cartan.n
+    check_coxeter_word(c, n)
     position = {s: k for k, s in enumerate(c)}
     top = []
     for s in range(1, n + 1):

@@ -29,6 +29,16 @@ def det_int(m: Matrix) -> int:
     return sign * last
 
 
+def check_coxeter_word(c: Word, n: int) -> None:
+    """Raise TypeError at the first letter of `c` that is not an int (bools
+    included), and ValueError unless `c` is a permutation of 1..n."""
+    for s in c:
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise TypeError(f"Coxeter word {c}: letter {s!r} is not an int")
+    if sorted(c) != list(range(1, n + 1)):
+        raise ValueError(f"Coxeter word {c} is not a permutation of 1..{n}")
+
+
 def ascent_to_w0(cartan: CartanMatrix, letters: Iterable[int]) -> list[int] | None:
     """Indices into `letters` that the greedy ascent to the longest element
     w0 takes, or None when the letters run out before it gets there.
@@ -58,11 +68,10 @@ def c_sorting_word(cartan: CartanMatrix, c: Word) -> Word:
 
     Below w0 some letter lengthens u, so each pass over c takes a letter,
     and the scan stops after one pass per positive root at the latest.  A c
-    that is not a permutation of 1..n raises ValueError before the scan.
+    that `check_coxeter_word` rejects raises before the scan.
     """
     n = cartan.n
-    if sorted(c) != list(range(1, n + 1)):
-        raise ValueError(f"Coxeter word {c} is not a permutation of 1..{n}")
+    check_coxeter_word(c, n)
     scan = itertools.islice(itertools.cycle(c), n * len(positive_roots(cartan)))
     taken = ascent_to_w0(cartan, scan)
     if taken is None:

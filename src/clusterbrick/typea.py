@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cluster import FPolynomial
-from .coxeter import Word, restricted_prefixes
+from .coxeter import Word, check_coxeter_word, restricted_prefixes
 from .errors import InvariantViolation
 from .roots import Vec
 
@@ -59,10 +59,9 @@ def triangulation_of_coxeter(c: Word, start: int = 0) -> Triangulation:
     are the strip in dual-path order.
     """
     n = len(c)
+    check_coxeter_word(c, n)
     size = n + 3
     position = {s: k for k, s in enumerate(c)}
-    if sorted(position) != list(range(1, n + 1)):
-        raise ValueError(f"{c} is not a permutation of 1..{n}")
     remaining = [(start + k) % size for k in range(size)]
     diagonals = []
     strip = []

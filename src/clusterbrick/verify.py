@@ -25,9 +25,8 @@ InvariantViolation.
 
 from __future__ import annotations
 
+import itertools
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -38,7 +37,7 @@ from .coxeter import Word, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
 from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
-                    coroot_of_root, reflect_weight, reflection_tables,
+                    coroot_of_root, reflection_tables,
                     root_to_weight_coords, w_catalan, weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
                       brick_vector, build_complex, flip, greedy_facet,
@@ -57,13 +56,6 @@ def type_label(cartan: CartanMatrix) -> str:
         except InvalidCartanType:  # the family has no type of this rank
             continue
     return f"custom{cartan.n}"
-
-
-def _family_rank(cartan: CartanMatrix) -> tuple[str, int] | None:
-    label = type_label(cartan)
-    if label.startswith("custom"):
-        return None
-    return label[0], cartan.n
 
 
 @dataclass(frozen=True)
@@ -261,10 +253,10 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
         _assert_position_map(complex_, new_node, by_pos)
         order[new_facet] = len(order)
         nodes[new_facet] = new_node
-    fam = _family_rank(cartan)
-    if fam is not None and len(nodes) != w_catalan(*fam):
+    label = type_label(cartan)
+    if not label.startswith("custom") and len(nodes) != w_catalan(label[0], n):
         raise InvariantViolation(
-            f"{len(nodes)} facets, expected {w_catalan(*fam)}")
+            f"{len(nodes)} facets, expected {w_catalan(label[0], n)}")
     if len(by_pos) != m:
         raise InvariantViolation(f"{len(by_pos)} positions reached, expected {m}")
     return Correspondence(
@@ -552,17 +544,12 @@ def check_minkowski_brick(cartan: CartanMatrix, c: Word) -> Report:
     return _report("minkowski", cartan, c, started, None)
 
 
-def _weight_orbit(cartan: CartanMatrix, start: Vec) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for s in range(1, cartan.n + 1):
-            image = reflect_weight(cartan, s, w)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return seen
+def _weight_orbit(n: int, q: int) -> set:
+    """The Weyl group orbit of the fundamental weight omega_q in type A_n:
+    the 0/1 vectors x with q ones on n + 1 coordinates, read in weight
+    coordinates as x_t - x_{t+1}."""
+    return {tuple(x[t] - x[t + 1] for t in range(n))
+            for x in itertools.product((0, 1), repeat=n + 1) if sum(x) == q}
 
 
 def _dominates(cartan: CartanMatrix, hi: Vec, lo: Vec) -> bool:
@@ -599,9 +586,7 @@ def check_typea_models(n: int, c: Word) -> Report:
     ag_table = corr.nodes[antigreedy_facet(complex_)].table
     for k in range(1, complex_.m + 1):
         realized = {node.table.weights[k - 1] for node in corr.nodes.values()}
-        q = complex_.word[k - 1]
-        fundamental = tuple(1 if t == q - 1 else 0 for t in range(n))
-        expected = {w for w in _weight_orbit(cartan, fundamental)
+        expected = {w for w in _weight_orbit(n, complex_.word[k - 1])
                     if _dominates(cartan, g_table.weights[k - 1], w)
                     and _dominates(cartan, w, ag_table.weights[k - 1])}
         if realized != expected:
@@ -632,9 +617,11 @@ def check_names(cartan: CartanMatrix) -> tuple[str, ...]:
 
 def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
                ) -> tuple[Report, ...]:
-    """Run the named checks (all applicable ones by default) and return the
-    reports in the order asked for, regardless of parallelism.  An empty
-    selection or an unknown name raises ValueError."""
+    """Run the named checks (all applicable ones by default) serially, in
+    the order asked for, and return their reports.  An empty selection, an
+    unknown name, or a `jobs` other than the int 1 raises ValueError."""
+    if type(jobs) is not int or jobs != 1:
+        raise ValueError(f"checks run serially; jobs must be 1, got {jobs!r}")
     available = check_names(cartan)
     selected = list(names) if names is not None else list(available)
     choices = f"choose from {', '.join(available)}"
@@ -644,9 +631,4 @@ def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
         if name not in available:
             raise ValueError(f"unknown check {name!r}; {choices}")
     table = dict(_CHECKS)
-    tasks = [table[name] for name in selected]
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, cartan, tuple(c)) for fn in tasks]
-            return tuple(f.result() for f in futures)
-    return tuple(fn(cartan, tuple(c)) for fn in tasks)
+    return tuple(table[name](cartan, tuple(c)) for name in selected)

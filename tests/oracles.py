@@ -94,6 +94,21 @@ def word_action_weight(cartan: CartanMatrix, word: Word, v: Vec) -> Vec:
     return v
 
 
+def weight_orbit(cartan: CartanMatrix, start: Vec) -> set:
+    """The Weyl group orbit of a weight, by breadth-first search under the
+    simple reflections."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for s in range(1, cartan.n + 1):
+            image = reflect_weight(cartan, s, w)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
+
+
 def root_function(complex_: ClusterComplex, facet: Facet, k: int) -> Vec:
     """Product of the complement letters before position k, applied to the
     simple root of the letter at k."""

@@ -74,8 +74,8 @@ def test_verify_output(capsys):
     assert "A2 c=1,2" in lines[0]
 
 
-def test_verify_all_with_jobs(capsys):
-    code, out, err = run(capsys, "verify", "--type", "A2", "--jobs", "4")
+def test_verify_all(capsys):
+    code, out, err = run(capsys, "verify", "--type", "A2")
     assert code == 0
     assert out.count("PASS") == 8
 
@@ -117,22 +117,13 @@ def test_rank_is_rejected_with_a_cartan_file(tmp_path, capsys):
     ("fpoly", "--type", "A2"),
     ("brick", "--type", "A2"),
     ("tpaths", "--type", "A3", "--root", "1,2"),
+    ("verify", "--type", "A2"),
 ])
-def test_jobs_belongs_to_verify_only(capsys, argv):
+def test_jobs_is_an_unrecognized_argument(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("jobs", ["-3", "0", "x", "0_2"])
-def test_jobs_below_one_is_rejected(capsys, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--type", "A2", "--checks", "c-vectors",
-              "--jobs", jobs])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --jobs" in err
 
 
 @pytest.mark.parametrize("checks", [",", ""])
@@ -234,6 +225,15 @@ def test_root_string():
     assert root_string((-1, -1)) == "-α1-α2"
     assert root_string((0, 0)) == "0"
     assert root_string((0, -3, 1)) == "-3α2+α3"
+
+
+def test_cli_import_leaves_out_thread_pools():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clusterbrick.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point():

@@ -1,11 +1,14 @@
 """The ascent to the longest element and the sorting word, against the
 Weyl group as matrices; reduced words and prefixes."""
 
+import functools
 import itertools
 
 import pytest
 
+from clusterbrick.cluster import initial_matrix
 from clusterbrick.roots import cartan_of_type, positive_roots
+from clusterbrick.typea import triangulation_of_coxeter
 from clusterbrick.coxeter import (ascent_to_w0, c_sorting_word,
                                   canonical_commutation_word, coxeter_words,
                                   longest_element, restricted_prefixes)
@@ -100,6 +103,28 @@ def test_sorting_word_goldens():
 def test_sorting_word_rejects_a_c_that_is_not_a_permutation(c):
     with pytest.raises(ValueError, match="not a permutation"):
         c_sorting_word(cartan_of_type("A", 2), c)
+
+
+WORD_CHECKS = {
+    "c_sorting_word": functools.partial(c_sorting_word, cartan_of_type("A", 2)),
+    "initial_matrix": functools.partial(initial_matrix, cartan_of_type("A", 2)),
+    "triangulation_of_coxeter": triangulation_of_coxeter,
+}
+
+
+@pytest.mark.parametrize("c, error", [
+    ((True, 2), TypeError), ((1.0, 2), TypeError),
+    ((1, 1), ValueError), ((1, 2, 3), ValueError)])
+@pytest.mark.parametrize("caller", sorted(WORD_CHECKS))
+def test_coxeter_words_are_checked_alike(caller, c, error):
+    """Letters must be ints, bools excluded, forming a permutation of 1..n.
+    n is the rank of A2 for two callers and len(c) for a triangulation, to
+    which (1, 2, 3) is a valid A3 word, so (1, 3) stands in for it."""
+    if caller == "triangulation_of_coxeter" and c == (1, 2, 3):
+        c = (1, 3)
+    with pytest.raises(error, match="not an int" if error is TypeError
+                       else "not a permutation"):
+        WORD_CHECKS[caller](c)
 
 
 def test_ascent_takes_each_lengthening_letter_and_stops_at_w0():

@@ -63,7 +63,8 @@ def test_weight_images_match_the_formula_on_table_weights(family, rank):
 
 def test_weight_images_fill_to_one_object_per_value_from_threads():
     """Threads that miss the same weight at once all get the one pooled
-    image: `run_checks` with jobs > 1 shares one Cartan matrix's tables."""
+    image: `run_checks` runs serially, but a caller's own threads may
+    still share one Cartan matrix's tables."""
     cartan = cartan_of_type("D", 4)
     tables = ReflectionTables(cartan)       # fresh, not the cached one
     cx = build_complex(cartan, (1, 2, 3, 4))

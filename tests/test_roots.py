@@ -32,6 +32,9 @@ def test_cartan_validation_rejects():
     # affine A1 tilde: symmetrizable but not positive definite
     with pytest.raises(InvalidCartanMatrix):
         CartanMatrix(((2, -2), (-2, 2)))
+    # affine A2 tilde: leading minors 2 and 3, then 0
+    with pytest.raises(InvalidCartanMatrix, match="not positive definite"):
+        CartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
     # entry product 4 exceeds the finite bound
     with pytest.raises(InvalidCartanMatrix):
         CartanMatrix(((2, -1), (-4, 2)))

@@ -1,12 +1,15 @@
 """Cross-checks between the facet walk and the mutation walk."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbrick import cluster, polytope, subword, verify
 from clusterbrick.errors import InvariantViolation
@@ -16,11 +19,11 @@ from clusterbrick.coxeter import coxeter_words
 from clusterbrick.cluster import (ExchangeMemo, MPoly, exact_div,
                                   exchange_binomial, initial_seed)
 from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
-                                  greedy_facet, root_table)
+                                  flip, greedy_facet, root_table)
 from clusterbrick.verify import (Report, build_correspondence, check_lemmas,
                                  check_names, check_typea_models, run_checks,
                                  type_label, variables_by_root)
-from oracles import cluster_key, enumerate_seeds
+from oracles import cluster_key, enumerate_seeds, weight_orbit
 
 A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)
@@ -66,10 +69,11 @@ def test_run_checks_is_deterministic():
     assert first == second
 
 
-def test_parallel_jobs_report_the_same():
-    serial = run_checks(A3, (1, 3, 2), jobs=1)
-    threaded = run_checks(A3, (1, 3, 2), jobs=4)
-    assert serial == threaded
+def test_run_checks_runs_one_job_only():
+    assert run_checks(A3, (1, 3, 2), None, 1) == run_checks(A3, (1, 3, 2))
+    for jobs in (2, 0, True):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            run_checks(A3, (1, 3, 2), None, jobs)
 
 
 def test_run_checks_rejects_unknown_names():
@@ -422,6 +426,14 @@ def test_variables_by_root_covers_positive_roots():
         assert set(by_root) == set(positive_roots(cartan))
 
 
+def test_type_a_orbit_formula_matches_the_search():
+    for n in range(1, 8):
+        cartan = cartan_of_type("A", n)
+        for q in range(1, n + 1):
+            omega = tuple(int(t == q - 1) for t in range(n))
+            assert verify._weight_orbit(n, q) == weight_orbit(cartan, omega)
+
+
 def test_typea_model_check():
     for n in (1, 2, 3):
         for c in coxeter_words(cartan_of_type("A", n)):
@@ -518,3 +530,64 @@ def test_e7_walk_checks_fit_in_8_s_and_100_mb_stretch():
     assert (int(facets), passed) == (4160, "True")
     assert float(elapsed) < 8
     assert int(peak_kb) < 100 * 1024
+
+
+COMPONENTS = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+              ("C", 3), ("G", 2), ("D", 4))
+
+
+@st.composite
+def relabelled_unions(draw):
+    """Disjoint union of irreducible components of total rank at most 4,
+    its rows and columns permuted: (components, unrelabelled Cartan matrix,
+    permutation p with relabelled entry (s, t) the unrelabelled entry
+    (p[s], p[t]), relabelled Coxeter word)."""
+    components, budget = [], 4
+    while budget and (not components or draw(st.booleans())):
+        component = draw(st.sampled_from([x for x in COMPONENTS if x[1] <= budget]))
+        components.append(component)
+        budget -= component[1]
+    n = 4 - budget
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for family, rank in components:
+        block = cartan_of_type(family, rank).rows
+        for s in range(rank):
+            rows[start + s][start:start + rank] = block[s]
+        start += rank
+    p = draw(st.permutations(range(n)))
+    c = tuple(draw(st.permutations(range(1, n + 1))))
+    return components, CartanMatrix(rows), p, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_unions())
+def test_relabelled_reducible_types(drawn):
+    """Reducible types with relabelled nodes: flips are involutions, the
+    facets number the product of the components' W-Catalan numbers, the
+    checks pass, and relabelling carries the F-polynomials onto those of the
+    unrelabelled matrix.  40 examples took about 0.9 s on a 2-core x86 box
+    with Python 3.11."""
+    components, cartan, p, c = drawn
+    n = cartan.n
+    relabelled = CartanMatrix(tuple(tuple(cartan.rows[p[s]][p[t]] for t in range(n))
+                                    for s in range(n)))
+    corr = build_correspondence(relabelled, c)
+    complex_ = corr.complex_
+    for facet, node in corr.nodes.items():
+        for i in facet:
+            new_facet, j = flip(complex_, facet, i, node.table)
+            assert flip(complex_, new_facet, j, corr.nodes[new_facet].table) == (facet, i)
+    assert len(corr.nodes) == math.prod(w_catalan(*x) for x in components)
+    names = ("c-vectors", "g-vectors", "exchange", "lemmas", "newton", "lattice")
+    for report in run_checks(relabelled, c, names):
+        assert report.passed, (report.name, report.counterexample)
+    inverse = {p[s]: s for s in range(n)}
+
+    def unrelabel(v):
+        return tuple(v[inverse[t]] for t in range(n))
+
+    expected = build_correspondence(cartan, tuple(p[s - 1] + 1 for s in c)).f_polynomials
+    assert {unrelabel(beta): {unrelabel(e): k for e, k in F.terms.items()}
+            for beta, F in corr.f_polynomials.items()} == \
+        {beta: F.terms for beta, F in expected.items()}
