@@ -11,6 +11,7 @@ import json
 import sys
 
 from .cluster import c_vector, d_vector, format_fpoly, format_laurent, g_vector
+from .coxeter import check_coxeter_word
 from .errors import ClusterBrickError, ResourceLimit
 from .polytope import LatticePolytope
 from .roots import CartanMatrix, cartan_of_type, positive_roots, \
@@ -103,8 +104,7 @@ def _parse_coxeter(args, n: int):
         word = tuple(_natural(x, "--coxeter") for x in args.coxeter.split(","))
     except ValueError:
         raise ValueError(f"--coxeter must be comma-separated integers, got {args.coxeter!r}")
-    if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"--coxeter must be a permutation of 1..{n}, got {word}")
+    check_coxeter_word(word, n)
     return word
 
 

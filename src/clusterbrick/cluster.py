@@ -457,10 +457,12 @@ class ExchangeMemo:
     column, the c-vector of the slot, and the index of the old variable.
     The exchange binomial depends on nothing else.  `partners` maps each
     key to the variable whose product with the old one is that binomial,
-    certified by an exact division or a passed product check, and the
-    reverse key back to the old variable: mutation at slot s negates column
-    s in all 2n rows and keeps the other slots, so the reverse key negates
-    the column entries and the c-vector, and the binomial is the same.
+    certified by an exact division (`quotient`) or a passed product check
+    (`certify`), and the reverse key back to the old variable: mutation at
+    slot s negates column s in all 2n rows and keeps the other slots, so
+    the reverse key negates the column entries and the c-vector, and the
+    binomial is the same.  The mutated seed's key at s is the reverse key,
+    so `is_partner` certifies the inverse mutation by one lookup.
     """
 
     __slots__ = ("_canonical", "_index", "partners")
@@ -510,6 +512,24 @@ class ExchangeMemo:
             new_var = self.intern(exact_div(exchange_binomial(seed, i), old))
             self.record(key, old, new_var)
         return new_var
+
+    def is_partner(self, seed: Seed, i: int, new: MPoly) -> bool:
+        """True when `new` is the partner recorded under the exchange key of
+        slot i, with no product check: seeds of two keys can share a binomial."""
+        return self.partners.get(self.exchange_key(seed, i)) is new
+
+    def certify(self, seed: Seed, i: int, new: MPoly) -> bool:
+        """True when `new` times the variable at slot i is the exchange
+        binomial.  A recorded partner must be `new` itself (the Laurent ring
+        is a domain, and variables are interned); with none, the product is
+        multiplied out once and, when it holds, the exchange recorded."""
+        key = self.exchange_key(seed, i)
+        partner = self.partners.get(key)
+        old = seed.variables[i - 1]
+        if partner is None and new * old == exchange_binomial(seed, i):
+            self.record(key, old, new)
+            return True
+        return partner is new
 
 
 def principal_part(matrix) -> tuple[tuple[int, ...], ...]:

@@ -75,10 +75,6 @@ class CartanMatrix:
         """(det, adjugate) of the matrix, computed once per instance."""
         return det_adjugate(self.rows)
 
-    def entry(self, s: int, t: int) -> int:
-        """a_{st} with 1-based node indices."""
-        return self.rows[s - 1][t - 1]
-
 
 def _validate_cartan(rows: tuple[tuple[int, ...], ...]) -> None:
     n = len(rows)
@@ -232,6 +228,8 @@ def transpose(cartan: CartanMatrix) -> CartanMatrix:
 
 
 def _check_index(cartan: CartanMatrix, s: int) -> None:
+    if type(s) is not int:
+        raise TypeError(f"simple reflection index {s!r} is not an int")
     if not 1 <= s <= cartan.n:
         raise ValueError(f"simple reflection index {s} out of range 1..{cartan.n}")
 

@@ -171,8 +171,10 @@ def flip(complex_: ClusterComplex, facet: Facet, i: int,
     The complement positions carry the positive roots, each once, and j is
     the one whose root is plus or minus the root at i.  The flip is
     increasing exactly when i < j, which happens exactly when the root at
-    i is positive.
+    i is positive.  A position i that is not an int raises TypeError.
     """
+    if type(i) is not int:
+        raise TypeError(f"position {i!r} is not an int")
     if i not in facet:
         raise ValueError(f"position {i} is not in facet {facet}")
     if table is None:

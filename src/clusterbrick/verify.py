@@ -5,17 +5,17 @@
 every flip it yields on the seed side.  One record, position -> cluster
 variable, is the only place where cluster identity is certified: by its
 d-vector when the position is first seen, by identity of interned objects
-after that.  Each undirected flip edge is certified once for its exchange
-relation: a tree edge by its mutation, a non-tree edge by one product
-check, and the second sighting of either in integers.  An `ExchangeMemo`
-for the walk keeps one certified partner per exchange key and its reverse,
-so one division or product covers an exchange pair in both directions.
-The checks read the resulting `Correspondence`, which
-also builds each F-polynomial, Newton polytope and weight-column hull once,
-on first use.  Facts about adjacent facets are certified on the flip
-between them, as lookups in the pooled reflection tables: `c-vectors`
-takes one determinant, at the greedy facet, and `lemmas` checks weight
-monotonicity in its local form.
+after that.  Each undirected flip edge is certified for its exchange
+relation by the walk's `ExchangeMemo`, which files every certified partner
+under the exchange key and its reverse: a tree edge by its mutation, a
+non-tree edge by a lookup or one product check, and the second sighting
+of either by one lookup of the reverse key.  So one division or product
+covers an exchange pair in both directions.  The checks read the
+resulting `Correspondence`, which also builds each F-polynomial, Newton
+polytope and weight-column hull once, on first use.  Facts about adjacent
+facets are certified on the flip between them, as lookups in the pooled
+reflection tables: `c-vectors` takes one determinant, at the greedy
+facet, and `lemmas` checks weight monotonicity in its local form.
 
 Every check returns a Report rather than raising: a failed mathematical
 statement is data (with a counterexample payload), not a crash.  Structural
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from .cluster import (ExchangeMemo, MPoly, Seed, c_vector, d_vector,
-                      exchange_binomial, f_polynomial, g_vector, initial_seed,
-                      mutate, principal_part)
+                      f_polynomial, g_vector, initial_seed, mutate,
+                      principal_part)
 from .coxeter import Word, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
@@ -146,61 +146,6 @@ def _assert_position_map(complex_: ClusterComplex, node: Node,
                 "one recorded for that position")
 
 
-def _assert_same_cluster(node: Node, slot: int, known: Node, j: int,
-                         memo: ExchangeMemo) -> None:
-    """First sighting of a flip from `node` into the facet of `known`, found
-    earlier, whose position j holds the new variable.
-
-    Mutating `node` at `slot` replaces x_slot by the variable v with
-    v * x_slot equal to the exchange binomial, so the known variable at j
-    must be that v.  Every other position is shared by the two facets, and
-    both nodes were checked against the same position record, so they
-    carry the identical variable there.  A partner the memo certified for
-    this exchange data must be the known variable itself (the Laurent ring
-    is a domain, and variables are interned); with none, the product is
-    multiplied out once and the partner recorded.
-    """
-    v = known.seed.variables[known.pos_to_slot[j] - 1]
-    key = memo.exchange_key(node.seed, slot)
-    partner = memo.partners.get(key)
-    if partner is None:
-        old = node.seed.variables[slot - 1]
-        if v * old == exchange_binomial(node.seed, slot):
-            memo.record(key, old, v)
-            return
-    elif partner is v:
-        return
-    raise InvariantViolation(
-        f"walk desynchronized at facet {known.facet}: two paths give "
-        "different clusters")
-
-
-def _assert_involution(node: Node, i: int, known: Node, j: int) -> None:
-    """Second sighting of a flip edge: `node` flips position i into the
-    facet of `known`, whose flip at j back into `node`'s facet is certified.
-
-    At the exchanged slots s and t the extended exchange column at t must
-    be the negation of that at s (exchange rows read through the position
-    maps, position j standing for i; the coefficient rows, which hold the
-    c-vector, directly).  Every other position holds the identical variable
-    in both seeds, since both nodes were checked against the same position
-    record.  Then the positive and negative parts of the two exchange
-    binomials trade places, so the two binomials are equal.
-    """
-    s, t = node.pos_to_slot[i], known.pos_to_slot[j]
-    seed, other = node.seed, known.seed
-    n = seed.n
-    ok = all(
-        other.matrix[known.pos_to_slot[j if k == i else k] - 1][t - 1]
-        == -seed.matrix[node.pos_to_slot[k] - 1][s - 1] for k in node.facet)
-    ok = ok and all(other.matrix[r][t - 1] == -seed.matrix[r][s - 1]
-                    for r in range(n, 2 * n))
-    if not ok:
-        raise InvariantViolation(
-            f"walk desynchronized at facet {known.facet}: the flip back from "
-            f"{node.facet} is not the inverse mutation")
-
-
 # Enough walks for every check of one Coxeter word, not for a whole sweep.
 @lru_cache(maxsize=4)
 def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
@@ -213,13 +158,13 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     never reached.  The record at the positions beyond the first n, whose
     almost positive roots are the positive roots, is `variables`.
 
-    Each undirected flip edge is certified once for its exchange relation,
-    so the result does not depend on the path.  A flip into a new facet
-    mutates.  The first sighting of a flip into a facet found earlier is a
-    memo lookup or one product check (`_assert_same_cluster`); the second
+    Each undirected flip edge is certified for its exchange relation, so
+    the result does not depend on the path.  A flip into a new facet
+    mutates.  The first sighting of a flip into a facet found earlier is
+    `ExchangeMemo.certify`, a lookup or one product check.  The second
     sighting of any edge, which in breadth-first order is a flip into a
-    facet discovered before the current one, is an integer check
-    (`_assert_involution`).
+    facet discovered before the current one, is `ExchangeMemo.is_partner`,
+    one lookup of the reverse key that the first sighting filed.
 
     No clusters are compared: the record gives position i one variable, of
     d-vector pos_root[i], and `build_complex` asserts that `pos_root` is
@@ -242,10 +187,16 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
             slot = node.pos_to_slot[i]
             if new_table is None:
                 known = nodes[new_facet]
+                v = known.seed.variables[known.pos_to_slot[j] - 1]
                 if order[new_facet] < order[facet]:
-                    _assert_involution(node, i, known, j)
-                else:
-                    _assert_same_cluster(node, slot, known, j, memo)
+                    if not memo.is_partner(node.seed, slot, v):
+                        raise InvariantViolation(
+                            f"walk desynchronized at facet {known.facet}: the flip "
+                            f"back from {node.facet} is not the inverse mutation")
+                elif not memo.certify(node.seed, slot, v):
+                    raise InvariantViolation(
+                        f"walk desynchronized at facet {known.facet}: two paths "
+                        "give different clusters")
                 continue
             new_map = {k: s for k, s in node.pos_to_slot.items() if k != i}
             new_map[j] = slot
@@ -619,7 +570,10 @@ def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
                ) -> tuple[Report, ...]:
     """Run the named checks (all applicable ones by default) serially, in
     the order asked for, and return their reports.  An empty selection, an
-    unknown name, or a `jobs` other than the int 1 raises ValueError."""
+    unknown name, or a `jobs` other than the int 1 raises ValueError; a
+    bare str for `names` raises TypeError."""
+    if isinstance(names, str):
+        raise TypeError(f"names must be a collection of check names, not the str {names!r}")
     if type(jobs) is not int or jobs != 1:
         raise ValueError(f"checks run serially; jobs must be 1, got {jobs!r}")
     available = check_names(cartan)

@@ -188,6 +188,7 @@ def test_exit_code_two_on_malformed_input(capsys):
         ("tpaths", "--type", "B2", "--root", "1,2"),
         ("tpaths", "--type", "A2", "--root", "2,1"),
         ("tpaths", "--type", "A2", "--root", "1;2"),
+        ("tpaths", "--type", "A3", "--coxeter", "1,2", "--root", "1,2"),
         # not ASCII digits, though int() reads the first three as 2, 2 and 3
         ("facets", "--type", "A", "--rank", "0_2"),
         ("facets", "--type", "A2", "--coxeter", "1,+2"),

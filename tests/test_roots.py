@@ -64,6 +64,16 @@ def test_reflections_A2():
             assert reflect_weight(A2, s, reflect_weight(A2, s, v)) == v
 
 
+@pytest.mark.parametrize("reflect", [reflect_root, reflect_weight, reflect_coroot])
+def test_reflection_index_must_be_an_int(reflect):
+    A2 = cartan_of_type("A", 2)
+    for s in (True, 1.0):
+        with pytest.raises(TypeError, match="not an int"):
+            reflect(A2, s, (1, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        reflect(A2, 0, (1, 0))
+
+
 def test_reflect_coroot_matches_transpose():
     B2 = cartan_of_type("B", 2)
     C2 = transpose(B2)

@@ -105,6 +105,10 @@ def test_flip_requires_facet_position():
     cx = build_complex(A2, (1, 2))
     with pytest.raises(ValueError):
         flip(cx, (1, 2), 3)
+    # True == 1 is in the facet, but a position is an int
+    for i in (True, 1.0):
+        with pytest.raises(TypeError, match="not an int"):
+            flip(cx, (1, 2), i)
 
 
 def test_update_after_flip_matches_direct():

@@ -83,6 +83,12 @@ def test_run_checks_rejects_unknown_names():
         run_checks(B2, (1, 2), names=("typea",))
 
 
+def test_run_checks_rejects_a_bare_str():
+    # iterated, "lemmas" would be read as the names "l", "e", "m", ...
+    with pytest.raises(TypeError, match="'lemmas'"):
+        run_checks(A2, (1, 2), "lemmas")
+
+
 def test_run_checks_subset():
     reports = run_checks(A2, (1, 2), names=("lattice", "c-vectors"))
     # results come back in the order they were asked for
@@ -136,39 +142,54 @@ def test_walk_consumers_catch_table_drift(monkeypatch):
 
 def test_correspondence_catches_a_wrong_exchange_binomial(monkeypatch):
     """Edges into known facets are checked by multiplying out the exchange
-    relation; a binomial off by one monomial must not pass."""
-    binomial = verify.exchange_binomial
+    relation; a binomial off by one monomial, in the product check only,
+    must not pass."""
+    binomial, certify = cluster.exchange_binomial, ExchangeMemo.certify
+    certifying = []
 
     def corrupted(seed, i):
-        return binomial(seed, i) + MPoly.monomial(2 * seed.n, (0,) * (2 * seed.n))
+        out = binomial(seed, i)
+        if certifying:
+            out = out + MPoly.monomial(2 * seed.n, (0,) * (2 * seed.n))
+        return out
 
-    monkeypatch.setattr(verify, "exchange_binomial", corrupted)
+    def certify_corrupted(memo, seed, i, new):
+        certifying.append(True)
+        try:
+            return certify(memo, seed, i, new)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(cluster, "exchange_binomial", corrupted)
+    monkeypatch.setattr(ExchangeMemo, "certify", certify_corrupted)
     build_correspondence.cache_clear()
     try:
-        with pytest.raises(InvariantViolation, match="desynchronized"):
+        with pytest.raises(InvariantViolation, match="different clusters"):
             build_correspondence(A2, (1, 2))
     finally:
         build_correspondence.cache_clear()
 
 
-def _count_calls(monkeypatch, names):
-    counts = dict.fromkeys(names, 0)
+def _count_calls(monkeypatch, owner, names, counts=None):
+    """Count calls of the named attributes of `owner` into `counts`."""
+    counts = {} if counts is None else counts
+    counts.update(dict.fromkeys(names, 0))
     for name in names:
-        def counting(*args, _name=name, _fn=getattr(verify, name)):
+        def counting(*args, _name=name, _fn=getattr(owner, name)):
             counts[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(verify, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
 def test_each_flip_edge_is_certified_once(monkeypatch):
     """A3 has 14 facets and 21 flip edges, 42 directed sightings in all:
-    13 tree edges mutate, the 8 non-tree edges get one product check each,
-    and the 21 second sightings (13 reverses of tree edges, 8 far ends of
-    non-tree edges) are checked in integers."""
-    counts = _count_calls(monkeypatch, (
-        "mutate", "_assert_same_cluster", "_assert_involution",
-        "exchange_binomial"))
+    13 tree edges mutate, the 8 non-tree edges get one memo certificate
+    each, and the 21 second sightings (13 reverses of tree edges, 8 far
+    ends of non-tree edges) are one lookup each."""
+    counts = _count_calls(monkeypatch, verify, ("mutate",))
+    _count_calls(monkeypatch, ExchangeMemo, ("certify", "is_partner"), counts)
+    _count_calls(monkeypatch, cluster, ("exchange_binomial", "exact_div"), counts)
     build_correspondence.cache_clear()
     try:
         corr = build_correspondence(A3, (1, 2, 3))
@@ -176,31 +197,25 @@ def test_each_flip_edge_is_certified_once(monkeypatch):
         build_correspondence.cache_clear()
     assert len(corr.nodes) == 14
     assert counts["mutate"] == 13
-    assert counts["_assert_same_cluster"] == 8
-    assert counts["_assert_involution"] == 13 + 8
+    assert counts["certify"] == 8
+    assert counts["is_partner"] == 13 + 8
     assert sum(counts[name] for name in (
-        "mutate", "_assert_same_cluster", "_assert_involution")) == 14 * 3
-    # certified partners: some non-tree edges find theirs already in the memo
-    assert 0 < counts["exchange_binomial"] < 8
+        "mutate", "certify", "is_partner")) == 14 * 3
+    # product checks: some non-tree edges find their partner already in the memo
+    assert 0 < counts["exchange_binomial"] - counts["exact_div"] < 8
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
 def test_each_exchange_pair_is_certified_once(monkeypatch, family, rank):
-    """Exact divisions plus product checks in one walk number the distinct
-    unordered pairs {x, x'} exchanged along its flip edges: one certificate
-    per pair covers the exchange seen from either side.  Before the
-    partner map, A3 (1,2,3) made 16 for its 15 pairs."""
-    counts = _count_calls(monkeypatch, ("exchange_binomial",))
-    divide = cluster.exact_div
-
-    def counting(num, den):
-        counts["exact_div"] += 1
-        return divide(num, den)
-
-    monkeypatch.setattr(cluster, "exact_div", counting)
+    """Exact divisions plus product checks in one walk, each building the
+    exchange binomial once, number the distinct unordered pairs {x, x'}
+    exchanged along its flip edges: one certificate per pair covers the
+    exchange seen from either side.  Before the partner map, A3 (1,2,3)
+    made 16 for its 15 pairs."""
+    counts = _count_calls(monkeypatch, cluster, ("exchange_binomial",))
     cartan = cartan_of_type(family, rank)
     for c in coxeter_words(cartan):
-        counts.update(exact_div=0, exchange_binomial=0)
+        counts.update(exchange_binomial=0)
         build_correspondence.cache_clear()
         try:
             corr = build_correspondence(cartan, c)
@@ -214,29 +229,40 @@ def test_each_exchange_pair_is_certified_once(monkeypatch, family, rank):
                 pairs.add(frozenset((
                     id(node.seed.variables[node.pos_to_slot[i] - 1]),
                     id(other.seed.variables[other.pos_to_slot[j] - 1]))))
-        assert counts["exact_div"] + counts["exchange_binomial"] == len(pairs)
+        assert counts["exchange_binomial"] == len(pairs)
 
 
 def test_product_check_needs_the_partner_interned_in_the_walk():
-    """The known variable passes only as the walk's own object: a correct
-    but foreign copy raises on a memo miss (it cannot be recorded) and on a
-    hit (it is not the certified partner)."""
+    """The partner passes only as the walk's own object: a correct but
+    foreign copy raises on a memo miss (it cannot be recorded) and fails on
+    a hit (it is not the certified partner).  A wrong variable fails the
+    product check and is not recorded."""
     memo = ExchangeMemo()
     seed = memo.attach(initial_seed(A2, (1, 2)))
-    node = verify.Node((1, 2), None, seed, {1: 1, 2: 2})
+    assert not memo.certify(seed, 1, seed.variables[1])
+    assert not memo.partners
     partner = exact_div(exchange_binomial(seed, 1), seed.variables[0])
-    known = verify.Node((2, 3), None, dataclasses.replace(
-        seed, variables=(partner, seed.variables[1])), {3: 1, 2: 2})
     with pytest.raises(InvariantViolation, match="not interned"):
-        verify._assert_same_cluster(node, 1, known, 3, memo)
+        memo.certify(seed, 1, partner)
     memo.intern(partner)
-    verify._assert_same_cluster(node, 1, known, 3, memo)
+    assert memo.certify(seed, 1, partner)
     assert memo.partners[memo.exchange_key(seed, 1)] is partner
     foreign = exact_div(exchange_binomial(seed, 1), seed.variables[0])
-    known = dataclasses.replace(known, seed=dataclasses.replace(
-        seed, variables=(foreign, seed.variables[1])))
-    with pytest.raises(InvariantViolation, match="desynchronized"):
-        verify._assert_same_cluster(node, 1, known, 3, memo)
+    assert not memo.certify(seed, 1, foreign)
+
+
+def test_a_flip_back_is_one_lookup_of_the_reverse_key():
+    """The mutated seed's exchange key at the slot is the reverse key, whose
+    partner is the old variable; a seed that keeps the old c-vector has the
+    same binomial on A1 but not the key."""
+    memo = ExchangeMemo()
+    seed = memo.attach(initial_seed(cartan_of_type("A", 1), (1,)))
+    mutated = cluster.mutate(seed, 1)
+    assert memo.is_partner(mutated, 1, seed.variables[0])
+    assert not memo.is_partner(mutated, 1, mutated.variables[0])
+    frozen = dataclasses.replace(mutated, matrix=seed.matrix)
+    assert exchange_binomial(frozen, 1) == exchange_binomial(mutated, 1)
+    assert not memo.is_partner(frozen, 1, seed.variables[0])
 
 
 def test_correspondence_catches_a_mutation_that_keeps_the_frozen_vector(
@@ -314,7 +340,7 @@ def test_walk_caches_are_bounded():
 ])
 def test_each_f_polynomial_is_built_once_per_walk(monkeypatch, c, checks):
     """A3 has 6 positive roots: the checks share one F-polynomial each."""
-    counts = _count_calls(monkeypatch, ("f_polynomial",))
+    counts = _count_calls(monkeypatch, verify, ("f_polynomial",))
     build_correspondence.cache_clear()
     try:
         reports = run_checks(A3, c, checks)
@@ -563,11 +589,13 @@ def relabelled_unions(draw):
 @settings(max_examples=40, deadline=None)
 @given(relabelled_unions())
 def test_relabelled_reducible_types(drawn):
-    """Reducible types with relabelled nodes: flips are involutions, the
-    facets number the product of the components' W-Catalan numbers, the
-    checks pass, and relabelling carries the F-polynomials onto those of the
-    unrelabelled matrix.  40 examples took about 0.9 s on a 2-core x86 box
-    with Python 3.11."""
+    """Reducible types with relabelled nodes: flips are involutions, and so
+    are the walk's mutations, redone unmemoized, which bring in the cluster
+    of the flipped facet; clusters are distinct, the facets number the
+    product of the components' W-Catalan numbers, the checks pass, and
+    relabelling carries the F-polynomials onto those of the unrelabelled
+    matrix.  40 examples took about 1.1 s on a 2-core x86 box with
+    Python 3.11."""
     components, cartan, p, c = drawn
     n = cartan.n
     relabelled = CartanMatrix(tuple(tuple(cartan.rows[p[s]][p[t]] for t in range(n))
@@ -578,7 +606,11 @@ def test_relabelled_reducible_types(drawn):
         for i in facet:
             new_facet, j = flip(complex_, facet, i, node.table)
             assert flip(complex_, new_facet, j, corr.nodes[new_facet].table) == (facet, i)
-    assert len(corr.nodes) == math.prod(w_catalan(*x) for x in components)
+            mutated = cluster.mutate(node.seed, node.pos_to_slot[i])
+            assert cluster.mutate(mutated, node.pos_to_slot[i]) == node.seed
+            assert set(mutated.variables) == set(corr.nodes[new_facet].seed.variables)
+    assert len({frozenset(node.seed.variables) for node in corr.nodes.values()}) \
+        == len(corr.nodes) == math.prod(w_catalan(*x) for x in components)
     names = ("c-vectors", "g-vectors", "exchange", "lemmas", "newton", "lattice")
     for report in run_checks(relabelled, c, names):
         assert report.passed, (report.name, report.counterexample)
