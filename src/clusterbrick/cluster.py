@@ -422,13 +422,15 @@ def mutate(seed: Seed, i: int) -> Seed:
     (k, l) is negated when k or l is the slot s, and otherwise gains
     [b_ks]+ [b_sl]+ - [-b_ks]+ [-b_sl]+, of which at most one term is
     nonzero, so a row with b_ks = 0 is unchanged.  The new variable is the
-    exchange binomial divided exactly by the old variable, taken from the
-    seed's memo when it has one.
+    exchange binomial divided exactly by the old variable; a seed with a
+    memo takes it, and each changed row, from the memo's pools.
     """
     if seed.memo is not None:
         new_var = seed.memo.quotient(seed, i)
+        new_row = seed.memo.row
     else:
         new_var = exact_div(exchange_binomial(seed, i), seed.variables[i - 1])
+        new_row = tuple
     n = seed.n
     s = i - 1
     pivot = seed.matrix[s]
@@ -437,21 +439,25 @@ def mutate(seed: Seed, i: int) -> Seed:
     for k, row in enumerate(seed.matrix):
         a = row[s]
         if k == s:
-            row = tuple(-b for b in row)
+            row = new_row(-b for b in row)
         elif a:
             shifted = [b + a * u for b, u in zip(row, up if a > 0 else down)]
             shifted[s] = -a
-            row = tuple(shifted)
+            row = new_row(shifted)
         new_rows.append(row)
     variables = tuple(new_var if k == s else seed.variables[k] for k in range(n))
     return Seed(tuple(new_rows), variables, seed.memo)
 
 
 class ExchangeMemo:
-    """Hash-consed cluster variables and certified exchange partners of one walk.
+    """Hash-consed cluster variables and matrix rows, and certified exchange
+    partners, of one walk.
 
     `intern` maps every variable to one canonical object per polynomial, so
     equal variables of the walk are identical and each has a small index.
+    `row` does the same for the rows of the seeds' extended matrices, so
+    equal rows of the walk's seeds are one tuple: a walk repeats a few
+    hundred rows across thousands of seeds.
     An exchange relation is keyed by its exchange data: the sorted
     (index, exponent) pairs of the nonzero exchange-block entries of the
     column, the c-vector of the slot, and the index of the old variable.
@@ -465,11 +471,12 @@ class ExchangeMemo:
     so `is_partner` certifies the inverse mutation by one lookup.
     """
 
-    __slots__ = ("_canonical", "_index", "partners")
+    __slots__ = ("_canonical", "_index", "_rows", "partners")
 
     def __init__(self):
         self._canonical: dict[MPoly, MPoly] = {}
         self._index: dict[int, int] = {}    # id of a canonical variable -> index
+        self._rows: dict[tuple, tuple] = {}
         self.partners: dict[tuple, MPoly] = {}
 
     def intern(self, p: MPoly) -> MPoly:
@@ -479,9 +486,15 @@ class ExchangeMemo:
             self._index.setdefault(id(p), len(self._index))
         return canonical
 
+    def row(self, entries) -> tuple[int, ...]:
+        """The canonical tuple of the matrix row `entries`."""
+        row = tuple(entries)
+        return self._rows.setdefault(row, row)
+
     def attach(self, seed: Seed) -> Seed:
-        """The seed with its variables interned, carrying this memo."""
-        return Seed(seed.matrix, tuple(map(self.intern, seed.variables)), self)
+        """The seed with its variables and rows interned, carrying this memo."""
+        return Seed(tuple(map(self.row, seed.matrix)),
+                    tuple(map(self.intern, seed.variables)), self)
 
     def index(self, p: MPoly) -> int:
         """Intern index of a canonical variable."""

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
+from types import MappingProxyType
 
 from .cluster import (ExchangeMemo, MPoly, Seed, c_vector, d_vector,
                       f_polynomial, g_vector, initial_seed, mutate,
@@ -87,24 +89,26 @@ class Correspondence:
     `variables`, positive root -> cluster variable, read from the walk's
     position record.  The F-polynomials, their Newton polytopes and the
     weight-column hulls, keyed by positive root too, are computed once, on
-    first use."""
+    first use.  Every check of a word shares the walk, so all five maps
+    are read-only."""
 
     complex_: ClusterComplex
-    nodes: dict
-    variables: dict
+    nodes: Mapping
+    variables: Mapping
 
     @cached_property
-    def f_polynomials(self) -> dict:
+    def f_polynomials(self) -> Mapping:
         n = self.complex_.n
-        return {beta: f_polynomial(v, n) for beta, v in self.variables.items()}
+        return MappingProxyType({beta: f_polynomial(v, n)
+                                 for beta, v in self.variables.items()})
 
     @cached_property
-    def newton_polytopes(self) -> dict:
-        return {beta: LatticePolytope(F.support())
-                for beta, F in self.f_polynomials.items()}
+    def newton_polytopes(self) -> Mapping:
+        return MappingProxyType({beta: LatticePolytope(F.support())
+                                 for beta, F in self.f_polynomials.items()})
 
     @cached_property
-    def column_hulls(self) -> dict:
+    def column_hulls(self) -> Mapping:
         """Hull of the weights at each position beyond the first n, minus
         the antigreedy one, in root coordinates, keyed by the position's
         root; each distinct weight is converted once."""
@@ -116,7 +120,7 @@ class Correspondence:
             out[complex_.pos_root[k - 1]] = LatticePolytope(
                 [weight_diff_to_root_coords(complex_.cartan, w, ag[k - 1])
                  for w in weights])
-        return out
+        return MappingProxyType(out)
 
 
 def _assert_position_map(complex_: ClusterComplex, node: Node,
@@ -146,8 +150,28 @@ def _assert_position_map(complex_: ClusterComplex, node: Node,
                 "one recorded for that position")
 
 
-# Enough walks for every check of one Coxeter word, not for a whole sweep.
-@lru_cache(maxsize=4)
+def _last_walk_only(build):
+    """Cache `build` for the last (Cartan matrix, word) only, the word
+    normalised to a tuple first, so a list and a tuple share the entry.
+
+    Every check of one word shares that walk, and a sweep moves on to the
+    next word: a miss frees the previous walk before the new one is
+    built, so two walks are never held at once.  The miss clears through
+    the cache's own `cache_clear`, which stays bound here when the module
+    name is rebound to a wrapper."""
+    @lru_cache(maxsize=1)
+    def cached(cartan: CartanMatrix, c: Word) -> Correspondence:
+        cached.cache_clear()
+        return build(cartan, c)
+
+    @wraps(build)
+    def walk(cartan: CartanMatrix, c) -> Correspondence:
+        return cached(cartan, tuple(c))
+    walk.cache_clear, walk.cache_info = cached.cache_clear, cached.cache_info
+    return walk
+
+
+@_last_walk_only
 def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     """Seeds mutated in lockstep with the facet flips of `walk_flips`.
 
@@ -169,7 +193,9 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     No clusters are compared: the record gives position i one variable, of
     d-vector pos_root[i], and `build_complex` asserts that `pos_root` is
     injective, so the cluster determines the facet.  The walk's
-    `ExchangeMemo` is dropped with it: the returned seeds carry no memo.
+    `ExchangeMemo`, with its pooled variables and matrix rows, is dropped
+    with it: the returned seeds carry no memo.  Only the last walk is
+    cached (`_last_walk_only`).
     """
     complex_ = build_complex(cartan, c)
     n, m = complex_.n, complex_.m
@@ -210,16 +236,17 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
             f"{len(nodes)} facets, expected {w_catalan(label[0], n)}")
     if len(by_pos) != m:
         raise InvariantViolation(f"{len(by_pos)} positions reached, expected {m}")
-    return Correspondence(
-        complex_,
-        {facet: replace(nodes[facet], seed=replace(nodes[facet].seed, memo=None))
-         for facet in sorted(nodes)},
-        {complex_.pos_root[i - 1]: by_pos[i] for i in range(n + 1, m + 1)})
+    sorted_nodes = {facet: replace(nodes[facet], seed=replace(nodes[facet].seed, memo=None))
+                    for facet in sorted(nodes)}
+    variables = {complex_.pos_root[i - 1]: by_pos[i] for i in range(n + 1, m + 1)}
+    return Correspondence(complex_, MappingProxyType(sorted_nodes),
+                          MappingProxyType(variables))
 
 
-def variables_by_root(cartan: CartanMatrix, c: Word) -> dict:
-    """Map each positive root to its cluster variable: the `variables` of
-    the walk's position record, so every facet agrees by construction."""
+def variables_by_root(cartan: CartanMatrix, c: Word) -> Mapping:
+    """Read-only map from each positive root to its cluster variable: the
+    `variables` of the walk's position record, so every facet agrees by
+    construction."""
     return build_correspondence(cartan, c).variables
 
 

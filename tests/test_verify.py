@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from clusterbrick.cluster import (ExchangeMemo, MPoly, exact_div,
 from clusterbrick.subword import (build_complex, enumerate_facets_with_tables,
                                   flip, greedy_facet, root_table)
 from clusterbrick.verify import (Report, build_correspondence, check_lemmas,
-                                 check_names, check_typea_models, run_checks,
-                                 type_label, variables_by_root)
+                                 check_names, check_newton_conjecture,
+                                 check_typea_models, run_checks, type_label,
+                                 variables_by_root)
 from oracles import cluster_key, enumerate_seeds, weight_orbit
 
 A2 = cartan_of_type("A", 2)
@@ -325,13 +327,103 @@ def test_walk_interns_every_variable():
                 set().union(*oracle) - set(initial_seed(cartan, c).variables))
 
 
+@pytest.mark.parametrize("family, c, distinct", [
+    ("A", (1, 2, 3), None), ("B", (2, 1, 3), None), ("G", (2, 1), None),
+    ("D", (1, 2, 3, 4), None), ("E", (1, 4, 6, 2, 3, 5), 713),
+], ids=["A3", "B3", "G2", "D4", "E6"])
+def test_walk_pools_matrix_rows(family, c, distinct):
+    """Within one walk, equal rows of the seeds' matrices are one object;
+    E6 has 833 seeds, 9,996 row references and 713 distinct rows."""
+    corr = build_correspondence(cartan_of_type(family, len(c)), c)
+    rows = [row for node in corr.nodes.values() for row in node.seed.matrix]
+    objects = {id(row): row for row in rows}
+    assert len(objects) == len(set(objects.values()))
+    assert distinct is None or len(objects) == distinct
+
+
 def test_walk_caches_are_bounded():
-    """The walk is the only cache: `variables_by_root` reads its record."""
-    maxsize = build_correspondence.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 8
+    """The walk is the only cache, of one walk: `variables_by_root` reads
+    its record."""
+    assert build_correspondence.cache_info().maxsize == 1
     assert not hasattr(variables_by_root, "cache_info")
     for c in coxeter_words(A3):
         assert variables_by_root(A3, c) is build_correspondence(A3, c).variables
+
+
+def test_only_the_last_walk_is_live(monkeypatch):
+    """The cache frees the previous word's walk before the next walk makes
+    its first mutation, so two walks are never held at once."""
+    build_correspondence.cache_clear()
+    first = weakref.ref(build_correspondence(A3, (1, 2, 3)))
+    assert first() is build_correspondence(A3, (1, 2, 3))
+    alive = []
+    mutate = verify.mutate
+
+    def watching(seed, i):
+        alive.append(first() is not None)
+        return mutate(seed, i)
+
+    monkeypatch.setattr(verify, "mutate", watching)
+    try:
+        build_correspondence(A3, (3, 2, 1))
+    finally:
+        build_correspondence.cache_clear()
+    assert alive and not any(alive)
+
+
+def test_run_checks_builds_one_walk(monkeypatch):
+    """Every check of one word, minkowski's gate on newton included, reads
+    one walk."""
+    counts = _count_calls(monkeypatch, verify, ("walk_flips",))
+    for cartan, c in [(A3, (2, 1, 3)), (B2, (1, 2))]:
+        counts["walk_flips"] = 0
+        build_correspondence.cache_clear()
+        try:
+            reports = run_checks(cartan, c)
+        finally:
+            build_correspondence.cache_clear()
+        assert [r.name for r in reports] == list(check_names(cartan))
+        assert all(r.passed for r in reports), reports
+        assert counts["walk_flips"] == 1
+
+
+def test_a_list_word_is_read_as_a_tuple():
+    """Every entry point that takes a Coxeter word takes a list too, with
+    the results of the tuple."""
+    word = [1, 2]
+    assert build_correspondence(A2, word) is build_correspondence(A2, (1, 2))
+    assert variables_by_root(A2, word) == variables_by_root(A2, (1, 2))
+    for check in (verify.check_c_vectors, verify.check_g_vectors,
+                  verify.check_exchange_matrix, verify.check_lemmas,
+                  verify.check_newton_conjecture, verify.check_lattice_points,
+                  verify.check_minkowski_brick):
+        report = check(A2, word)
+        assert report == check(A2, (1, 2)) and report.passed
+        assert report.coxeter == (1, 2)
+    assert check_typea_models(2, word) == check_typea_models(2, (1, 2))
+    assert run_checks(A2, word) == run_checks(A2, (1, 2))
+    assert build_complex(A2, word) == build_complex(A2, (1, 2))
+
+
+def test_the_shared_walk_is_read_only():
+    """The walk's maps are shared by every check of the word, so callers
+    cannot change them; they raise TypeError on item assignment and
+    deletion, and the checks still see the whole walk."""
+    corr = build_correspondence(A3, (1, 2, 3))
+    by_root = variables_by_root(A3, (1, 2, 3))
+    facet = next(iter(corr.nodes))
+    beta = (1, 0, 0)
+    for mapping, key in [(corr.nodes, facet), (corr.variables, beta),
+                         (by_root, beta), (corr.f_polynomials, beta),
+                         (corr.newton_polytopes, beta), (corr.column_hulls, beta)]:
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+        assert not hasattr(mapping, "pop")
+    assert len(by_root) == len(positive_roots(A3))
+    assert check_newton_conjecture(A3, (1, 2, 3)).passed
+    assert all(r.passed for r in run_checks(A3, (1, 2, 3), ["lattice"]))
 
 
 @pytest.mark.parametrize("c, checks", [
