@@ -14,8 +14,8 @@ from .cluster import c_vector, d_vector, format_fpoly, format_laurent, g_vector
 from .coxeter import check_coxeter_word
 from .errors import ClusterBrickError, ResourceLimit
 from .polytope import LatticePolytope
-from .roots import CartanMatrix, cartan_of_type, positive_roots, \
-    weight_diff_to_root_coords
+from .roots import CartanMatrix, cartan_of_type, finite_family, \
+    positive_roots, w_catalan, weight_diff_to_root_coords
 from .subword import (antigreedy_facet, brick_vector, build_complex,
                       enumerate_facets_with_tables)
 from .typea import (diagonal_of_root, enumerate_tpaths, f_poly_via_tpaths,
@@ -23,6 +23,9 @@ from .typea import (diagonal_of_root, enumerate_tpaths, f_poly_via_tpaths,
 from .verify import build_correspondence, run_checks, type_label
 
 _BIG = 1 << 63
+# The most facets of a --type the walk takes on: B10 and C10 (184,756) and
+# D10 (136,136) fit, A12 (742,900) does not.
+MAX_FACETS = 250_000
 
 
 def _jsonable(obj):
@@ -73,7 +76,10 @@ def _natural(text: str, flag: str) -> int:
     return int(digits)
 
 
-def _parse_cartan(args) -> CartanMatrix:
+def _parse_cartan(args, walks: bool = True) -> CartanMatrix:
+    """The Cartan matrix that --type or --cartan names.  A --type with more
+    than MAX_FACETS facets is refused when the command walks the facets;
+    `tpaths` walks none, so it passes `walks=False`."""
     if args.cartan is not None:
         if args.type is not None:
             raise ValueError("give either --type or --cartan, not both")
@@ -94,7 +100,24 @@ def _parse_cartan(args) -> CartanMatrix:
         rank = type_rank
     elif rank is None:
         raise ValueError("--rank is required when --type is a bare family letter")
+    if walks:
+        _refuse_too_many_facets(family, rank)
     return cartan_of_type(family, rank)
+
+
+def _refuse_too_many_facets(family: str, rank: int) -> None:
+    """Raise ResourceLimit when the type has more than MAX_FACETS facets,
+    before any matrix or degree product is built: every type of rank 12 or
+    more is over the cap, so its count is never formed."""
+    fam = finite_family(family, rank)
+    if rank >= 12:      # A12 has the fewest facets of all types of rank >= 12
+        raise ResourceLimit(
+            f"type {fam}{rank} has at least {w_catalan('A', 12):,} facets, "
+            f"over the cap of {MAX_FACETS:,}")
+    facets = w_catalan(fam, rank)
+    if facets > MAX_FACETS:
+        raise ResourceLimit(
+            f"type {fam}{rank} has {facets:,} facets, over the cap of {MAX_FACETS:,}")
 
 
 def _parse_coxeter(args, n: int):
@@ -159,7 +182,7 @@ def _variable_summaries(cartan: CartanMatrix, c):
                 continue
             beta = complex_.pos_root[i - 1]
             if beta not in first_c:
-                first_c[beta] = c_vector(node.seed, node.pos_to_slot[i])
+                first_c[beta] = c_vector(node.seed, node.slot_of(i))
     out = []
     for beta in positive_roots(cartan):
         var = corr.variables[beta]
@@ -215,7 +238,7 @@ def _cmd_brick(args) -> int:
 
 
 def _cmd_tpaths(args) -> int:
-    cartan = _parse_cartan(args)
+    cartan = _parse_cartan(args, walks=False)
     if not type_label(cartan).startswith("A"):
         raise ValueError("tpaths needs type A")
     n = cartan.n

@@ -45,10 +45,6 @@ _BIAS = 1 << (_WIDTH - 2)
 _MIN_EXP, _MAX_EXP = -_BIAS, _BIAS - 1
 
 
-def _pos(a: int) -> int:
-    return a if a > 0 else 0
-
-
 class _Layout:
     """Packing constants for one number of variables."""
 
@@ -195,7 +191,9 @@ class MPoly:
             for k2, c2 in large.items():
                 k = base + k2
                 out[k] = get(k, 0) + c1 * c2
-        return MPoly._make(nv, {k: c for k, c in out.items() if c}, lo, hi)
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return MPoly._make(nv, out, lo, hi)
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -397,21 +395,26 @@ def exchange_binomial(seed: Seed, i: int) -> MPoly:
     The two monomials of the exchange relation, with the coefficient
     monomials split off the c-vector f_i of the slot: the normalizations
     y^f_i/(y^f_i (+) 1) and 1/(y^f_i (+) 1) are the monomials
-    y^(f_i - min(f_i,0)) and y^(-min(f_i,0)).
+    y^(f_i - min(f_i,0)) = y^[f_i]+ and y^(-min(f_i,0)) = y^[-f_i]+.
     """
     n = seed.n
     if not 1 <= i <= n:
         raise ValueError(f"slot {i} out of range 1..{n}")
-    f_i = c_vector(seed, i)
-    floor = tropical_add(f_i, (0,) * n)
-    plus = MPoly.monomial(2 * n, (0,) * n + tuple(a - b for a, b in zip(f_i, floor)))
-    minus = MPoly.monomial(2 * n, (0,) * n + tuple(-b for b in floor))
-    for k in range(n):
-        b = seed.matrix[k][i - 1]
+    s = i - 1
+    f_i = [row[s] for row in seed.matrix[n:]]
+    pack = _layout(2 * n).pack
+    monomials = []
+    for e in ((0,) * n + tuple([a if a > 0 else 0 for a in f_i]),
+              (0,) * n + tuple([-a if a < 0 else 0 for a in f_i])):
+        _check_range(e, e)
+        monomials.append(MPoly._make(2 * n, {pack(e): 1}, e, e))
+    plus, minus = monomials
+    for row, v in zip(seed.matrix, seed.variables):
+        b = row[s]
         if b > 0:
-            plus = plus * seed.variables[k] ** b
+            plus = plus * v ** b
         elif b < 0:
-            minus = minus * seed.variables[k] ** (-b)
+            minus = minus * v ** (-b)
     return plus + minus
 
 
@@ -431,21 +434,21 @@ def mutate(seed: Seed, i: int) -> Seed:
     else:
         new_var = exact_div(exchange_binomial(seed, i), seed.variables[i - 1])
         new_row = tuple
-    n = seed.n
     s = i - 1
     pivot = seed.matrix[s]
-    up, down = [_pos(b) for b in pivot], [_pos(-b) for b in pivot]
+    up = [b if b > 0 else 0 for b in pivot]
+    down = [-b if b < 0 else 0 for b in pivot]
     new_rows = []
     for k, row in enumerate(seed.matrix):
         a = row[s]
         if k == s:
-            row = new_row(-b for b in row)
+            row = new_row([-b for b in row])
         elif a:
             shifted = [b + a * u for b, u in zip(row, up if a > 0 else down)]
             shifted[s] = -a
             row = new_row(shifted)
         new_rows.append(row)
-    variables = tuple(new_var if k == s else seed.variables[k] for k in range(n))
+    variables = seed.variables[:s] + (new_var,) + seed.variables[i:]
     return Seed(tuple(new_rows), variables, seed.memo)
 
 
@@ -463,27 +466,37 @@ class ExchangeMemo:
     column, the c-vector of the slot, and the index of the old variable.
     The exchange binomial depends on nothing else.  `partners` maps each
     key to the variable whose product with the old one is that binomial,
-    certified by an exact division (`quotient`) or a passed product check
-    (`certify`), and the reverse key back to the old variable: mutation at
-    slot s negates column s in all 2n rows and keeps the other slots, so
-    the reverse key negates the column entries and the c-vector, and the
-    binomial is the same.  The mutated seed's key at s is the reverse key,
-    so `is_partner` certifies the inverse mutation by one lookup.
+    certified by `quotient` or `certify`, and the reverse key back to the
+    old variable: mutation at slot s negates column s in all 2n rows and
+    keeps the other slots, so the reverse key negates the column entries
+    and the c-vector, and the binomial is the same.  The mutated seed's key
+    at s is the reverse key, so `is_partner` certifies the inverse mutation
+    by one lookup.
+
+    Every interned variable is also filed under the x part of the low
+    corner of its exponent box, its negated d-vector.  In finite type the
+    d-vector determines the cluster variable (Fomin-Zelevinsky, Cluster
+    algebras II), so `quotient` divides once per new variable, and
+    certifies every other exchange it meets by one product check against
+    the variable filed under the quotient's d-vector.
     """
 
-    __slots__ = ("_canonical", "_index", "_rows", "partners")
+    __slots__ = ("_canonical", "_index", "_by_low", "_rows", "partners")
 
     def __init__(self):
         self._canonical: dict[MPoly, MPoly] = {}
         self._index: dict[int, int] = {}    # id of a canonical variable -> index
+        self._by_low: dict[tuple, MPoly] = {}   # x part of the box's low corner
         self._rows: dict[tuple, tuple] = {}
         self.partners: dict[tuple, MPoly] = {}
 
     def intern(self, p: MPoly) -> MPoly:
         """The canonical object equal to p, p itself when it is new."""
         canonical = self._canonical.setdefault(p, p)
-        if canonical is p:
-            self._index.setdefault(id(p), len(self._index))
+        if canonical is p and id(p) not in self._index:
+            self._index[id(p)] = len(self._index)
+            if p._t:
+                self._by_low.setdefault(p._box()[0][:p.nvars // 2], p)
         return canonical
 
     def row(self, entries) -> tuple[int, ...]:
@@ -505,9 +518,16 @@ class ExchangeMemo:
 
     def exchange_key(self, seed: Seed, i: int) -> tuple:
         """Exchange data of slot i (1-based) of a seed of this walk."""
-        column = sorted((self.index(seed.variables[k]), b)
-                        for k in range(seed.n) if (b := seed.matrix[k][i - 1]))
-        return tuple(column), c_vector(seed, i), self.index(seed.variables[i - 1])
+        s, index = i - 1, self._index
+        variables, matrix = seed.variables, seed.matrix
+        try:
+            column = sorted([(index[id(v)], b) for v, row in zip(variables, matrix)
+                             if (b := row[s])])
+            old = index[id(variables[s])]
+        except KeyError:
+            raise InvariantViolation("variable is not interned in this walk") from None
+        return (tuple(column), tuple([row[s] for row in matrix[len(variables):]]),
+                old)
 
     def record(self, key: tuple, old: MPoly, new: MPoly) -> None:
         """Enter a certified exchange: new * old is the binomial of `key`."""
@@ -517,12 +537,24 @@ class ExchangeMemo:
         self.partners[key], self.partners[reverse] = new, old
 
     def quotient(self, seed: Seed, i: int) -> MPoly:
-        """The interned variable that mutation at slot i brings in."""
+        """The interned variable that mutation at slot i brings in.
+
+        On a key miss the exchange binomial is built once.  The quotient's
+        exponent box is the binomial's minus the old variable's, which
+        names the one candidate filed under that d-vector; the candidate
+        is certified by the product check of `certify`.  Only with no
+        candidate, or one that fails the check, is the binomial divided
+        exactly."""
         key = self.exchange_key(seed, i)
         new_var = self.partners.get(key)
         if new_var is None:
             old = seed.variables[i - 1]
-            new_var = self.intern(exact_div(exchange_binomial(seed, i), old))
+            binomial = exchange_binomial(seed, i)
+            low = tuple([a - b for a, b in zip(binomial._box()[0][:seed.n],
+                                               old._box()[0])])
+            new_var = self._by_low.get(low)
+            if new_var is None or new_var * old != binomial:
+                new_var = self.intern(exact_div(binomial, old))
             self.record(key, old, new_var)
         return new_var
 

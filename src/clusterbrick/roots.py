@@ -170,9 +170,9 @@ def _eliminate(matrix, right) -> tuple[int, int, list[list[int]]]:
     return sign, prev, aug
 
 
-def _family(family: str, rank: int) -> str:
+def finite_family(family: str, rank: int) -> str:
     """Normalized family letter of a finite type; the rank must be an int,
-    not a bool."""
+    not a bool.  Raises InvalidCartanType otherwise, and builds nothing."""
     fam = str(family).strip().upper()
     if (fam not in _RANK_OK or not isinstance(rank, int) or isinstance(rank, bool)
             or not _RANK_OK[fam](rank)):
@@ -188,7 +188,7 @@ def cartan_of_type(family: str, rank: int) -> CartanMatrix:
 def cartan_rows(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Rows of cartan_of_type(family, rank), without the validation that
     constructing a CartanMatrix runs; cheap enough to compare against."""
-    fam = _family(family, rank)
+    fam = finite_family(family, rank)
     n = rank
     rows = [[2 if s == t else 0 for t in range(n)] for s in range(n)]
 
@@ -409,7 +409,7 @@ _DEGREES_FIXED = {
 
 def degrees(family: str, rank: int) -> tuple[int, ...]:
     """Fundamental degrees of the reflection group of the given type."""
-    fam = _family(family, rank)
+    fam = finite_family(family, rank)
     if fam == "A":
         return tuple(range(2, rank + 2))
     if fam in ("B", "C"):

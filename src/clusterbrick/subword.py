@@ -154,12 +154,12 @@ def _table(cartan: CartanMatrix, word: Word, chosen, pool: dict) -> RootTable:
         rows[0].append(top)
         rows[1].append(omegas[q - 1])
         if k not in chosen:
-            alphas = [tuple(x - f * y for x, y in zip(col, top)) if (f := a[q - 1][t])
+            alphas = [tuple([x - f * y for x, y in zip(col, top)]) if (f := a[q - 1][t])
                       else col for t, col in enumerate(alphas)]
             acc = omegas[q - 1]
             for t, col in enumerate(omegas):
                 if f := a[t][q - 1]:
-                    acc = tuple(x - f * y for x, y in zip(acc, col))
+                    acc = tuple([x - f * y for x, y in zip(acc, col)])
             omegas[q - 1] = acc
     return RootTable(*(tuple([pool.setdefault(v, v) for v in row]) for row in rows))
 
@@ -179,7 +179,12 @@ def flip(complex_: ClusterComplex, facet: Facet, i: int,
         raise ValueError(f"position {i} is not in facet {facet}")
     if table is None:
         table = root_table(complex_, facet)
-    roots = table.roots
+    return _partner(complex_, facet, i, table.roots)
+
+
+def _partner(complex_: ClusterComplex, facet: Facet, i: int,
+             roots: tuple[Vec, ...]) -> tuple[Facet, int]:
+    """`flip` of the position i of `facet`, whose root row is `roots`."""
     beta = roots[i - 1]
     x = beta if min(beta) >= 0 else complex_.tables.negative[beta]
     j = 0
@@ -243,7 +248,7 @@ def walk_flips(complex_: ClusterComplex) -> Iterator[tuple]:
         facet = queue.popleft()
         table = tables[facet]
         for i in facet:
-            new_facet, j = flip(complex_, facet, i, table)
+            new_facet, j = _partner(complex_, facet, i, table.roots)
             if new_facet in tables:
                 yield facet, i, new_facet, j, None
                 continue

@@ -10,7 +10,8 @@ relation by the walk's `ExchangeMemo`, which files every certified partner
 under the exchange key and its reverse: a tree edge by its mutation, a
 non-tree edge by a lookup or one product check, and the second sighting
 of either by one lookup of the reverse key.  So one division or product
-covers an exchange pair in both directions.  The checks read the
+covers an exchange pair in both directions, and the walk divides once
+per new cluster variable.  The checks read the
 resulting `Correspondence`, which also builds each F-polynomial, Newton
 polytope and weight-column hull once, on first use.  Facts about adjacent
 facets are certified on the flip between them, as lookups in the pooled
@@ -28,13 +29,12 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from types import MappingProxyType
 
-from .cluster import (ExchangeMemo, MPoly, Seed, c_vector, d_vector,
-                      f_polynomial, g_vector, initial_seed, mutate,
-                      principal_part)
+from .cluster import (ExchangeMemo, MPoly, Seed, d_vector, f_polynomial,
+                      g_vector, initial_seed, mutate)
 from .coxeter import Word, det_int
 from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
@@ -42,8 +42,7 @@ from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
                     coroot_of_root, reflection_tables,
                     root_to_weight_coords, w_catalan, weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
-                      brick_vector, build_complex, flip, greedy_facet,
-                      walk_flips)
+                      brick_vector, build_complex, greedy_facet, walk_flips)
 from .typea import f_poly_via_prefixes, f_poly_via_tpaths, triangulation_of_coxeter
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -75,12 +74,25 @@ class Report:
 @dataclass(frozen=True)
 class Node:
     """One vertex of the lockstep walk: a facet with its table, the matching
-    seed, and the map from facet positions to seed slots."""
+    seed, and two tuples aligned with the facet.  `slots` holds the seed
+    slot of each position, and `partners` the position that flipping it
+    brings in, as the walk found it: the flip of position facet[k] goes to
+    the facet with facet[k] replaced by partners[k]."""
 
     facet: Facet
     table: RootTable
     seed: Seed
-    pos_to_slot: dict
+    slots: tuple[int, ...]
+    partners: tuple[int, ...]
+
+    def slot_of(self, i: int) -> int:
+        """The seed slot of position i of the facet."""
+        return self.slots[self.facet.index(i)]
+
+    def flipped(self, k: int) -> Facet:
+        """The facet that flipping the position facet[k] goes to."""
+        facet = self.facet
+        return tuple(sorted(facet[:k] + facet[k + 1:] + (self.partners[k],)))
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,10 @@ class Correspondence:
         return MappingProxyType(out)
 
 
-def _assert_position_map(complex_: ClusterComplex, node: Node,
-                         by_pos: dict) -> None:
-    """Check every position of a new node against the walk's record.
+def _assert_position_map(complex_: ClusterComplex, facet: Facet, seed: Seed,
+                         slots: tuple, by_pos: dict) -> None:
+    """Check every position of a new facet, its variable at the slot that
+    `slots` gives, against the walk's record.
 
     A position seen before must hold the identical variable recorded there
     (variables are interned, so identity is equality).  On a first sighting
@@ -134,19 +147,19 @@ def _assert_position_map(complex_: ClusterComplex, node: Node,
     holds the one variable of each position, and each variable is
     certified once per walk.
     """
-    for i in node.facet:
-        var = node.seed.variables[node.pos_to_slot[i] - 1]
+    for i, s in zip(facet, slots):
+        var = seed.variables[s - 1]
         recorded = by_pos.get(i)
         if recorded is None:
             dv = d_vector(var, complex_.n)
             if dv != complex_.pos_root[i - 1]:
                 raise InvariantViolation(
-                    f"facet {node.facet}: variable at position {i} has "
+                    f"facet {facet}: variable at position {i} has "
                     f"d-vector {dv}, expected {complex_.pos_root[i - 1]}")
             by_pos[i] = var
         elif recorded is not var:
             raise InvariantViolation(
-                f"facet {node.facet}: variable at position {i} is not the "
+                f"facet {facet}: variable at position {i} is not the "
                 "one recorded for that position")
 
 
@@ -176,19 +189,23 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     """Seeds mutated in lockstep with the facet flips of `walk_flips`.
 
     Flipping position i of a facet corresponds to mutating the seed at the
-    slot holding the variable of position i; the map position -> slot is
-    carried along, and every new node is checked against the position
+    slot holding the variable of position i; the slots of the positions are
+    carried along, and every new facet is checked against the position
     record by `_assert_position_map`.  The walk raises if a position is
     never reached.  The record at the positions beyond the first n, whose
-    almost positive roots are the positive roots, is `variables`.
+    almost positive roots are the positive roots, is `variables`.  Each
+    node keeps the partner positions of its flips as the walk yields them.
 
     Each undirected flip edge is certified for its exchange relation, so
     the result does not depend on the path.  A flip into a new facet
-    mutates.  The first sighting of a flip into a facet found earlier is
-    `ExchangeMemo.certify`, a lookup or one product check.  The second
-    sighting of any edge, which in breadth-first order is a flip into a
-    facet discovered before the current one, is `ExchangeMemo.is_partner`,
-    one lookup of the reverse key that the first sighting filed.
+    mutates: `ExchangeMemo.quotient` divides exactly once per new cluster
+    variable, and certifies every other exchange pair it meets by one
+    product check.  The first sighting of a flip into a facet found
+    earlier is `ExchangeMemo.certify`, a lookup or one product check.  The
+    second sighting of any edge, which in breadth-first order is a flip
+    into a facet discovered before the current one, is
+    `ExchangeMemo.is_partner`, one lookup of the reverse key that the
+    first sighting filed.
 
     No clusters are compared: the record gives position i one variable, of
     d-vector pos_root[i], and `build_complex` asserts that `pos_root` is
@@ -200,46 +217,50 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     complex_ = build_complex(cartan, c)
     n, m = complex_.n, complex_.m
     memo = ExchangeMemo()
-    nodes: dict[Facet, Node] = {}
+    # facet -> [table, seed, slots, partners found so far], in discovery order
+    walk: dict[Facet, list] = {}
     order: dict[Facet, int] = {}
     by_pos: dict[int, MPoly] = {}
     for facet, i, new_facet, j, new_table in walk_flips(complex_):
         if facet is None:
-            new_node = Node(new_facet, new_table,
-                            memo.attach(initial_seed(cartan, c)),
-                            {k: c[k - 1] for k in range(1, n + 1)})
+            new_seed, new_slots = memo.attach(initial_seed(cartan, c)), tuple(c)
         else:
-            node = nodes[facet]
-            slot = node.pos_to_slot[i]
+            _, seed, slots, partners = walk[facet]
+            partners.append(j)
+            at = facet.index(i)
+            slot = slots[at]
             if new_table is None:
-                known = nodes[new_facet]
-                v = known.seed.variables[known.pos_to_slot[j] - 1]
+                _, known, known_slots, _ = walk[new_facet]
+                v = known.variables[known_slots[new_facet.index(j)] - 1]
                 if order[new_facet] < order[facet]:
-                    if not memo.is_partner(node.seed, slot, v):
+                    if not memo.is_partner(seed, slot, v):
                         raise InvariantViolation(
-                            f"walk desynchronized at facet {known.facet}: the flip "
-                            f"back from {node.facet} is not the inverse mutation")
-                elif not memo.certify(node.seed, slot, v):
+                            f"walk desynchronized at facet {new_facet}: the flip "
+                            f"back from {facet} is not the inverse mutation")
+                elif not memo.certify(seed, slot, v):
                     raise InvariantViolation(
-                        f"walk desynchronized at facet {known.facet}: two paths "
+                        f"walk desynchronized at facet {new_facet}: two paths "
                         "give different clusters")
                 continue
-            new_map = {k: s for k, s in node.pos_to_slot.items() if k != i}
-            new_map[j] = slot
-            new_node = Node(new_facet, new_table, mutate(node.seed, slot), new_map)
-        _assert_position_map(complex_, new_node, by_pos)
+            rest = slots[:at] + slots[at + 1:]
+            at = new_facet.index(j)
+            new_seed, new_slots = mutate(seed, slot), rest[:at] + (slot,) + rest[at:]
+        _assert_position_map(complex_, new_facet, new_seed, new_slots, by_pos)
         order[new_facet] = len(order)
-        nodes[new_facet] = new_node
+        walk[new_facet] = [new_table, new_seed, new_slots, []]
     label = type_label(cartan)
-    if not label.startswith("custom") and len(nodes) != w_catalan(label[0], n):
+    if not label.startswith("custom") and len(walk) != w_catalan(label[0], n):
         raise InvariantViolation(
-            f"{len(nodes)} facets, expected {w_catalan(label[0], n)}")
+            f"{len(walk)} facets, expected {w_catalan(label[0], n)}")
     if len(by_pos) != m:
         raise InvariantViolation(f"{len(by_pos)} positions reached, expected {m}")
-    sorted_nodes = {facet: replace(nodes[facet], seed=replace(nodes[facet].seed, memo=None))
-                    for facet in sorted(nodes)}
+    nodes = {}
+    for facet in sorted(walk):     # each entry freed as its node is built
+        table, seed, slots, partners = walk.pop(facet)
+        nodes[facet] = Node(facet, table, Seed(seed.matrix, seed.variables),
+                            slots, tuple(partners))
     variables = {complex_.pos_root[i - 1]: by_pos[i] for i in range(n + 1, m + 1)}
-    return Correspondence(complex_, MappingProxyType(sorted_nodes),
+    return Correspondence(complex_, MappingProxyType(nodes),
                           MappingProxyType(variables))
 
 
@@ -263,12 +284,14 @@ def check_c_vectors(cartan: CartanMatrix, c: Word) -> Report:
     along one flip by `_determinant_carries`."""
     started = time.monotonic()
     corr = build_correspondence(cartan, c)
+    n = corr.complex_.n
     greedy = greedy_facet(corr.complex_)
     for node in corr.nodes.values():
         rows = []
-        for i in node.facet:
+        c_vectors = list(zip(*node.seed.matrix[n:]))      # by slot
+        for i, s in zip(node.facet, node.slots):
             expected = node.table.roots[i - 1]
-            actual = c_vector(node.seed, node.pos_to_slot[i])
+            actual = c_vectors[s - 1]
             rows.append(expected)
             if actual != expected:
                 return _report("c-vectors", cartan, c, started, {
@@ -293,20 +316,17 @@ def _determinant_carries(corr: Correspondence, node: Node) -> bool:
     j < i, whose roots are +-beta at j and, at the other positions of F,
     the root of F or its reflection along beta.  Those are unimodular row
     operations on the configuration of F, so |det| carries from the smaller
-    F' to F, and by induction from the greedy facet.  Pooled roots are
-    compared by identity; any miss is False."""
-    complex_, roots = corr.complex_, node.table.roots
-    tables = complex_.tables
-    i = next((i for i in node.facet if min(roots[i - 1]) < 0), 0)
-    beta = roots[i - 1] if i else None
-    if beta not in tables.negative:
+    F' to F, and by induction from the greedy facet.  The flip is read off
+    the node's `partners`; pooled roots are compared by identity; any miss
+    is False."""
+    roots, tables = node.table.roots, corr.complex_.tables
+    at = next((at for at, i in enumerate(node.facet) if min(roots[i - 1]) < 0), None)
+    if at is None:
         return False
-    try:
-        new_facet, j = flip(complex_, node.facet, i, node.table)
-    except InvariantViolation:
-        return False
-    other = corr.nodes.get(new_facet)
-    if other is None or j > i:
+    i, j = node.facet[at], node.partners[at]
+    beta = roots[i - 1]
+    other = corr.nodes.get(node.flipped(at))
+    if beta not in tables.negative or other is None or j > i:
         return False
     new, images = other.table.roots, tables.reflect[beta]
     return ((new[j - 1] is beta or new[j - 1] is tables.negative[beta])
@@ -323,22 +343,28 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
     n = corr.complex_.n
     coroot = coroot_of_root(cartan)
     g_of: dict[int, Vec] = {}       # id of an interned variable -> g-vector
-    dots: dict[tuple, int] = {}     # (weight, root) -> <weight, root_co>
+    # id of a weight -> id of a root -> <weight, root_co>; the walk's weights
+    # and roots are pooled, and all of them stay alive during the check
+    dots: dict[int, dict[int, int]] = {}
     for node in corr.nodes.values():
         weights, roots = node.table.weights, node.table.roots
-        for i in node.facet:
-            var = node.seed.variables[node.pos_to_slot[i] - 1]
+        for i, s in zip(node.facet, node.slots):
+            var = node.seed.variables[s - 1]
             actual = g_of.get(id(var)) or g_of.setdefault(id(var), g_vector(var, n))
             if actual != weights[i - 1]:
                 return _report("g-vectors", cartan, c, started, {
                     "facet": node.facet, "position": i,
                     "expected": weights[i - 1], "actual": actual})
         for i in node.facet:
+            w = weights[i - 1]
+            pairings = dots.get(id(w))
+            if pairings is None:
+                pairings = dots[id(w)] = {}
             for j in node.facet:
-                key = (weights[i - 1], roots[j - 1])
-                dot = dots.get(key)
+                root = roots[j - 1]
+                dot = pairings.get(id(root))
                 if dot is None:
-                    dot = dots[key] = sum(x * y for x, y in zip(key[0], coroot[key[1]]))
+                    dot = pairings[id(root)] = sum(x * y for x, y in zip(w, coroot[root]))
                 if dot != (i == j):
                     return _report("g-vectors", cartan, c, started, {
                         "facet": node.facet, "position": (i, j),
@@ -355,21 +381,19 @@ def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
     corr = build_correspondence(cartan, c)
     pairing = reflection_tables(cartan).pairing
     for node in corr.nodes.values():
-        bpr = principal_part(node.seed.matrix)
-        roots = node.table.roots
-        for i in node.facet:
-            against_i = pairing[roots[i - 1]]
-            for j in node.facet:
-                s, t = node.pos_to_slot[i], node.pos_to_slot[j]
+        matrix, roots = node.seed.matrix, node.table.roots
+        for i, s in zip(node.facet, node.slots):
+            against_i, row = pairing[roots[i - 1]], matrix[s - 1]
+            for j, t in zip(node.facet, node.slots):
                 if i == j:
                     expected = 0
                 else:
                     value = against_i[roots[j - 1]]
                     expected = -value if i < j else value
-                if bpr[s - 1][t - 1] != expected:
+                if row[t - 1] != expected:
                     return _report("exchange", cartan, c, started, {
                         "facet": node.facet, "position": (i, j),
-                        "expected": expected, "actual": bpr[s - 1][t - 1]})
+                        "expected": expected, "actual": row[t - 1]})
     return _report("exchange", cartan, c, started, None)
 
 
@@ -404,12 +428,11 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     lam_negative: dict = {beta: {} for beta in coroots}
     for node in corr.nodes.values():
         old = node.table.weights
-        for i in node.facet:
+        for at, (i, j) in enumerate(zip(node.facet, node.partners)):
             beta = node.table.roots[i - 1]
             if min(beta) < 0:
                 continue        # decreasing: the reverse of an increasing flip
-            new_facet, j = flip(complex_, node.facet, i, node.table)
-            new = corr.nodes[new_facet].table.weights
+            new = corr.nodes[node.flipped(at)].table.weights
             k = _first_upward(old, new, i, j, images[beta], coroots[beta],
                               lam_negative[beta])
             if k:

@@ -99,7 +99,7 @@ def test_criterion_1_rank_two_example():
         # c-vectors read off the facet that pairs positions 3 and 4
         corr = build_correspondence(A2, (1, 2))
         node = corr.nodes[(3, 4)]
-        got = tuple(c_vector(node.seed, node.pos_to_slot[i]) for i in (3, 4))
+        got = tuple(c_vector(node.seed, node.slot_of(i)) for i in (3, 4))
         assert got == ((0, 1), (-1, -1))
 
     run_criterion(1, 1.0, body)

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from clusterbrick import cli
 from clusterbrick.cli import _jsonable, main, root_string
 from clusterbrick.polytope import LatticePolytope
-from clusterbrick.roots import cartan_of_type
+from clusterbrick.roots import cartan_of_type, w_catalan
 from clusterbrick.verify import run_checks
 
 
@@ -147,6 +148,41 @@ def test_resource_limit_exits_3(monkeypatch, capsys):
     assert err.startswith("error: resource limit: bounding box has")
 
 
+@pytest.mark.parametrize("label, facets", [
+    ("A12", "at least 742,900"), ("B11", "705,432"), ("D11", "520,676"),
+    ("A30", "at least 742,900"), ("A99999", "at least 742,900"),
+    ("D" + "9" * 40, "at least 742,900")])
+def test_types_over_the_facet_cap_are_refused_before_any_matrix(
+        monkeypatch, capsys, label, facets):
+    def unreachable(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(cli, "cartan_of_type", unreachable)
+    for command in ("facets", "seeds", "fpoly", "brick", "verify"):
+        code, out, err = run(capsys, command, "--type", label)
+        assert code == 3 and out == ""
+        assert err == (f"error: resource limit: type {label} has {facets} facets, "
+                       "over the cap of 250,000\n")
+    assert cli.MAX_FACETS == 250_000
+    # rank 12 is refused unread: A12 has the fewest facets there
+    assert min(w_catalan(f, 12) for f in "ABCD") == w_catalan("A", 12) == 742_900
+
+
+def test_tpaths_walks_no_facets_and_takes_a12(capsys):
+    code, out, err = run(capsys, "tpaths", "--type", "A12", "--root", "11,12")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "F = y11*y12 + y11 + 1"
+
+
+@pytest.mark.parametrize("label", ["B10", "C10", "D10", "A11", "E8"])
+def test_types_under_the_facet_cap_are_built(monkeypatch, label):
+    built = []
+    monkeypatch.setattr(cli, "cartan_of_type", lambda *args: built.append(args))
+    args = cli.build_parser().parse_args(["facets", "--type", label])
+    cli._parse_cartan(args)
+    assert built == [(label[0], int(label[1:]))]
+
+
 def test_emit_json_round_trip(tmp_path, capsys):
     target = tmp_path / "facets.json"
     code, out, err = run(capsys, "facets", "--type", "A2",
@@ -176,6 +212,8 @@ def test_exit_code_two_on_malformed_input(capsys):
     bad_invocations = [
         ("facets", "--type", "H3"),
         ("facets", "--type", "E5"),
+        ("facets", "--type", "E99"),
+        ("facets", "--type", "G" + "9" * 40),
         ("facets",),
         ("facets", "--type", "A"),
         ("facets", "--type", "A2", "--rank", "3"),

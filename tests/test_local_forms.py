@@ -74,7 +74,7 @@ def test_c_vectors_reports_a_broken_flip_relation(monkeypatch):
     up = negative[node.table.roots[i - 1]]
     roots = list(node.table.roots)
     roots[k - 1] = up
-    n, slot = A3.n, node.pos_to_slot[k]
+    n, slot = A3.n, node.slot_of(k)
     matrix = [list(row) for row in node.seed.matrix]
     for s in range(n):
         matrix[n + s][slot - 1] = up[s]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbrick import cluster, polytope, subword, verify
-from clusterbrick.errors import InvariantViolation
+from clusterbrick.errors import ClusterBrickError, InvariantViolation
 from clusterbrick.roots import (CartanMatrix, cartan_of_type, positive_roots,
                                 w_catalan)
 from clusterbrick.coxeter import coxeter_words
@@ -108,11 +108,13 @@ def test_correspondence_walk():
         # all clusters distinct
         keys = {cluster_key(node.seed) for node in corr.nodes.values()}
         assert len(keys) == len(corr.nodes)
-        # position-to-slot maps are bijections onto the seed slots
+        # the positions of each facet hold the seed slots bijectively, and
+        # the recorded partners are the flips of the facet
         for facet, node in corr.nodes.items():
-            assert set(node.pos_to_slot) == set(facet)
-            assert sorted(node.pos_to_slot.values()) == list(
-                range(1, cartan.n + 1))
+            assert sorted(node.slots) == list(range(1, cartan.n + 1))
+            assert [node.slot_of(i) for i in facet] == list(node.slots)
+            assert [(node.flipped(k), j) for k, j in enumerate(node.partners)] \
+                == [flip(corr.complex_, facet, i, node.table) for i in facet]
 
 
 def test_correspondence_tables_match_direct_construction():
@@ -144,32 +146,76 @@ def test_walk_consumers_catch_table_drift(monkeypatch):
 
 def test_correspondence_catches_a_wrong_exchange_binomial(monkeypatch):
     """Edges into known facets are checked by multiplying out the exchange
-    relation; a binomial off by one monomial, in the product check only,
-    must not pass."""
-    binomial, certify = cluster.exchange_binomial, ExchangeMemo.certify
-    certifying = []
+    relation, and mutations by a product check or an exact division; a
+    binomial off by one monomial, in either place only, must not pass."""
+    binomial = cluster.exchange_binomial
+    inside = []
 
     def corrupted(seed, i):
         out = binomial(seed, i)
-        if certifying:
+        if inside:
             out = out + MPoly.monomial(2 * seed.n, (0,) * (2 * seed.n))
         return out
 
-    def certify_corrupted(memo, seed, i, new):
-        certifying.append(True)
-        try:
-            return certify(memo, seed, i, new)
-        finally:
-            certifying.pop()
+    for where in ("certify", "quotient"):
+        method = getattr(ExchangeMemo, where)
 
-    monkeypatch.setattr(cluster, "exchange_binomial", corrupted)
-    monkeypatch.setattr(ExchangeMemo, "certify", certify_corrupted)
+        def method_corrupted(memo, *args, _method=method):
+            inside.append(True)
+            try:
+                return _method(memo, *args)
+            finally:
+                inside.pop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster, "exchange_binomial", corrupted)
+            patch.setattr(ExchangeMemo, where, method_corrupted)
+            for cartan, c in [(A2, (1, 2)), (B2, (1, 2))]:
+                build_correspondence.cache_clear()
+                try:
+                    with pytest.raises(ClusterBrickError) as caught:
+                        build_correspondence(cartan, c)
+                finally:
+                    build_correspondence.cache_clear()
+                if where == "certify":
+                    assert isinstance(caught.value, InvariantViolation)
+                    assert "different clusters" in str(caught.value)
+
+
+class _FirstFiledOnly(dict):
+    """A stand-in for the memo's d-vector file that answers every lookup
+    with the first variable filed, right or wrong."""
+
+    def setdefault(self, key, value):
+        self.__dict__.setdefault("first", value)
+        return value
+
+    def get(self, key, default=None):
+        return self.__dict__.get("first", default)
+
+
+def test_a_wrong_hint_falls_back_to_exact_division(monkeypatch):
+    """When the variable filed under a quotient's d-vector fails the product
+    check, `quotient` divides instead: the walk gives the same seeds and
+    variables, with more divisions than new variables."""
+    expected = build_correspondence(A3, (1, 2, 3))
+    init = ExchangeMemo.__init__
+
+    def misled(memo):
+        init(memo)
+        memo._by_low = _FirstFiledOnly()
+
+    monkeypatch.setattr(ExchangeMemo, "__init__", misled)
+    counts = _count_calls(monkeypatch, cluster, ("exact_div",))
     build_correspondence.cache_clear()
     try:
-        with pytest.raises(InvariantViolation, match="different clusters"):
-            build_correspondence(A2, (1, 2))
+        corr = build_correspondence(A3, (1, 2, 3))
     finally:
         build_correspondence.cache_clear()
+    assert corr.variables == expected.variables
+    assert [node.seed for node in corr.nodes.values()] == \
+        [node.seed for node in expected.nodes.values()]
+    assert counts["exact_div"] > len(positive_roots(A3))
 
 
 def _count_calls(monkeypatch, owner, names, counts=None):
@@ -188,7 +234,9 @@ def test_each_flip_edge_is_certified_once(monkeypatch):
     """A3 has 14 facets and 21 flip edges, 42 directed sightings in all:
     13 tree edges mutate, the 8 non-tree edges get one memo certificate
     each, and the 21 second sightings (13 reverses of tree edges, 8 far
-    ends of non-tree edges) are one lookup each."""
+    ends of non-tree edges) are one lookup each.  Its 15 exchange pairs
+    build one binomial each, and only its 6 new variables are divided
+    out; every other pair is certified by a product check."""
     counts = _count_calls(monkeypatch, verify, ("mutate",))
     _count_calls(monkeypatch, ExchangeMemo, ("certify", "is_partner"), counts)
     _count_calls(monkeypatch, cluster, ("exchange_binomial", "exact_div"), counts)
@@ -203,8 +251,23 @@ def test_each_flip_edge_is_certified_once(monkeypatch):
     assert counts["is_partner"] == 13 + 8
     assert sum(counts[name] for name in (
         "mutate", "certify", "is_partner")) == 14 * 3
-    # product checks: some non-tree edges find their partner already in the memo
-    assert 0 < counts["exchange_binomial"] - counts["exact_div"] < 8
+    assert counts["exact_div"] == len(positive_roots(A3)) == 6
+    assert counts["exchange_binomial"] == 15
+
+
+def test_an_e6_walk_divides_once_per_new_variable(monkeypatch):
+    """E6 with c = 1,4,6,2,3,5 has 36 positive roots, so 36 cluster
+    variables beyond the initial cluster, and 385 exchange pairs."""
+    counts = _count_calls(monkeypatch, cluster, ("exchange_binomial", "exact_div"))
+    E6 = cartan_of_type("E", 6)
+    build_correspondence.cache_clear()
+    try:
+        corr = build_correspondence(E6, (1, 4, 6, 2, 3, 5))
+    finally:
+        build_correspondence.cache_clear()
+    assert len(corr.nodes) == 833
+    assert counts["exact_div"] == len(positive_roots(E6)) == 36
+    assert counts["exchange_binomial"] == 385
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
@@ -229,8 +292,8 @@ def test_each_exchange_pair_is_certified_once(monkeypatch, family, rank):
                 new_facet, j = subword.flip(corr.complex_, node.facet, i, node.table)
                 other = corr.nodes[new_facet]
                 pairs.add(frozenset((
-                    id(node.seed.variables[node.pos_to_slot[i] - 1]),
-                    id(other.seed.variables[other.pos_to_slot[j] - 1]))))
+                    id(node.seed.variables[node.slot_of(i) - 1]),
+                    id(other.seed.variables[other.slot_of(j) - 1]))))
         assert counts["exchange_binomial"] == len(pairs)
 
 
@@ -408,7 +471,8 @@ def test_a_list_word_is_read_as_a_tuple():
 def test_the_shared_walk_is_read_only():
     """The walk's maps are shared by every check of the word, so callers
     cannot change them; they raise TypeError on item assignment and
-    deletion, and the checks still see the whole walk."""
+    deletion, the nodes' slots and partners cannot be rebound or cleared,
+    and the checks still see the whole walk."""
     corr = build_correspondence(A3, (1, 2, 3))
     by_root = variables_by_root(A3, (1, 2, 3))
     facet = next(iter(corr.nodes))
@@ -421,9 +485,17 @@ def test_the_shared_walk_is_read_only():
         with pytest.raises(TypeError):
             del mapping[key]
         assert not hasattr(mapping, "pop")
+    # each node's slots and partners are tuples on a frozen record
+    for node in corr.nodes.values():
+        for name in ("slots", "partners"):
+            assert type(getattr(node, name)) is tuple
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, ())
+    assert not hasattr(next(iter(corr.nodes.values())), "pos_to_slot")
     assert len(by_root) == len(positive_roots(A3))
     assert check_newton_conjecture(A3, (1, 2, 3)).passed
     assert all(r.passed for r in run_checks(A3, (1, 2, 3), ["lattice"]))
+    assert verify.check_c_vectors(A3, (1, 2, 3)).passed
 
 
 @pytest.mark.parametrize("c, checks", [
@@ -679,6 +751,40 @@ def relabelled_unions(draw):
 
 
 @settings(max_examples=40, deadline=None)
+@given(relabelled_unions(), st.lists(st.integers(0, 3), max_size=40))
+def test_memo_mutation_divides_once_per_new_variable(drawn, steps):
+    """On the relabelled reducible types, memo mutation along a random
+    sequence of slots gives the seeds of plain mutation, and divides
+    exactly once per variable beyond the initial cluster."""
+    _, cartan, p, c = drawn
+    n = cartan.n
+    cartan = CartanMatrix(tuple(tuple(cartan.rows[p[s]][p[t]] for t in range(n))
+                                for s in range(n)))
+    slots = [step % n + 1 for step in steps]
+    plain = [initial_seed(cartan, c)]
+    for i in slots:
+        plain.append(cluster.mutate(plain[-1], i))
+    divisions = []
+    divide = cluster.exact_div
+
+    def counting(num, den):
+        divisions.append(den)
+        return divide(num, den)
+
+    memo = ExchangeMemo()
+    seed = memo.attach(plain[0])
+    cluster.exact_div = counting
+    try:
+        for i, expected in zip(slots, plain[1:]):
+            seed = cluster.mutate(seed, i)
+            assert seed == expected
+    finally:
+        cluster.exact_div = divide
+    seen = {v for seed in plain for v in seed.variables}
+    assert len(divisions) == len(seen) - n
+
+
+@settings(max_examples=40, deadline=None)
 @given(relabelled_unions())
 def test_relabelled_reducible_types(drawn):
     """Reducible types with relabelled nodes: flips are involutions, and so
@@ -698,8 +804,8 @@ def test_relabelled_reducible_types(drawn):
         for i in facet:
             new_facet, j = flip(complex_, facet, i, node.table)
             assert flip(complex_, new_facet, j, corr.nodes[new_facet].table) == (facet, i)
-            mutated = cluster.mutate(node.seed, node.pos_to_slot[i])
-            assert cluster.mutate(mutated, node.pos_to_slot[i]) == node.seed
+            mutated = cluster.mutate(node.seed, node.slot_of(i))
+            assert cluster.mutate(mutated, node.slot_of(i)) == node.seed
             assert set(mutated.variables) == set(corr.nodes[new_facet].seed.variables)
     assert len({frozenset(node.seed.variables) for node in corr.nodes.values()}) \
         == len(corr.nodes) == math.prod(w_catalan(*x) for x in components)
