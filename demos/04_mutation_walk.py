@@ -1,6 +1,6 @@
 """Seeds with principal coefficients under mutation, in rank two."""
 
-from clusterbrick import (cartan_of_type, c_vectors, d_vector, f_polynomial,
+from clusterbrick import (cartan_of_type, c_vector, d_vector, f_polynomial,
                           format_fpoly, format_laurent, g_vector,
                           initial_seed, mutate)
 
@@ -14,7 +14,7 @@ for step, i in enumerate((0, 1, 2, 1, 2, 1)):
     else:
         print("-- initial seed --")
     print(f"  matrix rows: {seed.matrix}")
-    print(f"  c-vectors:   {c_vectors(seed)}")
+    print(f"  c-vectors:   {tuple(c_vector(seed, i) for i in (1, 2))}")
     for s, v in enumerate(seed.variables, start=1):
         print(f"  x[{s}] = {format_laurent(v, 2)}")
         print(f"         g = {g_vector(v, 2)}, d = {d_vector(v, 2)}, "

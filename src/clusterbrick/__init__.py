@@ -4,10 +4,10 @@ computed through subword complexes, root configurations, and brick polytopes.
 Everything is integer arithmetic; no fractions and no floats anywhere.
 """
 
-from .cluster import (FPolynomial, MPoly, Seed, c_vector, c_vectors, d_vector,
-                      exact_div, exchange_binomial, f_polynomial, format_fpoly,
+from .cluster import (FPolynomial, MPoly, Seed, c_vector, d_vector, exact_div,
+                      exchange_binomial, f_polynomial, format_fpoly,
                       format_laurent, g_vector, initial_matrix, initial_seed,
-                      mutate, principal_part, tropical_add, variable_names)
+                      mutate, variable_names)
 from .coxeter import (c_sorting_word, canonical_commutation_word, coxeter_words,
                       longest_element, restricted_prefixes)
 from .errors import (ClusterBrickError, DimensionMismatch, InexactDivision,
@@ -15,19 +15,17 @@ from .errors import (ClusterBrickError, DimensionMismatch, InexactDivision,
                      NotInRootLattice, ResourceLimit)
 from .polytope import (LatticePolytope, convex_hull_vertices,
                        equal_up_to_translation, minkowski_sum, translate)
-from .roots import (CartanMatrix, cartan_of_type, coroot_of_root,
-                    coxeter_number, degrees, height, pair, positive_roots,
-                    reflect_coroot, reflect_root, reflect_weight,
-                    root_to_weight_coords, transpose, w_catalan,
+from .roots import (CartanMatrix, cartan_of_type, coroot_of_root, degrees,
+                    height, positive_roots, reflect_coroot, reflect_root,
+                    reflect_weight, root_to_weight_coords, transpose, w_catalan,
                     weight_diff_to_root_coords)
 from .subword import (ClusterComplex, RootTable, antigreedy_facet, brick_vector,
                       build_complex, enumerate_facets,
                       enumerate_facets_with_tables, flip, greedy_facet,
                       is_facet, root_table, update_after_flip, walk_flips)
-from .typea import (CrossingDiagonal, TPath, Triangulation,
-                    ambient_representative, boundary_letter, diagonal_of_root,
+from .typea import (CrossingDiagonal, TPath, Triangulation, diagonal_of_root,
                     enumerate_tpaths, f_poly_via_prefixes, f_poly_via_tpaths,
-                    flip_tpath, monomial_of_tpath, triangulation_of_coxeter)
+                    monomial_of_tpath, triangulation_of_coxeter)
 from .verify import (Report, build_correspondence, check_c_vectors,
                      check_exchange_matrix, check_g_vectors,
                      check_lattice_points, check_lemmas, check_minkowski_brick,

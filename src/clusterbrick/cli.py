@@ -76,48 +76,45 @@ def _natural(text: str, flag: str) -> int:
     return int(digits)
 
 
-def _parse_cartan(args, walks: bool = True) -> CartanMatrix:
-    """The Cartan matrix that --type or --cartan names.  A --type with more
-    than MAX_FACETS facets is refused when the command walks the facets;
-    `tpaths` walks none, so it passes `walks=False`."""
+def _parse_type(args) -> tuple[str, int]:
+    """(family, rank) that --type names, such as ("B", 3); builds nothing."""
+    label = args.type.strip().upper()
+    rank = _natural(label[1:], "--type")
+    return finite_family(label[:1], rank), rank
+
+
+def _parse_cartan(args) -> CartanMatrix:
+    """The Cartan matrix that --type or --cartan names.  A type with more
+    than MAX_FACETS facets is refused: a --type before its matrix is built,
+    a --cartan file when `type_label` recognises it."""
     if args.cartan is not None:
         if args.type is not None:
             raise ValueError("give either --type or --cartan, not both")
-        if args.rank is not None:
-            raise ValueError("--rank goes with a bare --type letter, not with --cartan")
         with open(args.cartan, encoding="utf-8") as handle:
-            rows = json.load(handle)
-        return CartanMatrix(rows)
+            cartan = CartanMatrix(json.load(handle))
+        label = type_label(cartan)
+        if not label.startswith("custom"):
+            _refuse_too_many_facets(label[0], cartan.n)
+        return cartan
     if args.type is None:
         raise ValueError("one of --type or --cartan is required")
-    label = args.type.strip().upper()
-    family, tail = label[:1], label[1:]
-    rank = None if args.rank is None else _natural(args.rank, "--rank")
-    if tail:
-        type_rank = _natural(tail, "--type")
-        if rank is not None and rank != type_rank:
-            raise ValueError(f"--type {args.type} conflicts with --rank {args.rank}")
-        rank = type_rank
-    elif rank is None:
-        raise ValueError("--rank is required when --type is a bare family letter")
-    if walks:
-        _refuse_too_many_facets(family, rank)
+    family, rank = _parse_type(args)
+    _refuse_too_many_facets(family, rank)
     return cartan_of_type(family, rank)
 
 
 def _refuse_too_many_facets(family: str, rank: int) -> None:
-    """Raise ResourceLimit when the type has more than MAX_FACETS facets,
-    before any matrix or degree product is built: every type of rank 12 or
+    """Raise ResourceLimit when the finite type has more than MAX_FACETS
+    facets, before any degree product is built: every type of rank 12 or
     more is over the cap, so its count is never formed."""
-    fam = finite_family(family, rank)
     if rank >= 12:      # A12 has the fewest facets of all types of rank >= 12
         raise ResourceLimit(
-            f"type {fam}{rank} has at least {w_catalan('A', 12):,} facets, "
+            f"type {family}{rank} has at least {w_catalan('A', 12):,} facets, "
             f"over the cap of {MAX_FACETS:,}")
-    facets = w_catalan(fam, rank)
+    facets = w_catalan(family, rank)
     if facets > MAX_FACETS:
         raise ResourceLimit(
-            f"type {fam}{rank} has {facets:,} facets, over the cap of {MAX_FACETS:,}")
+            f"type {family}{rank} has {facets:,} facets, over the cap of {MAX_FACETS:,}")
 
 
 def _parse_coxeter(args, n: int):
@@ -238,10 +235,9 @@ def _cmd_brick(args) -> int:
 
 
 def _cmd_tpaths(args) -> int:
-    cartan = _parse_cartan(args, walks=False)
-    if not type_label(cartan).startswith("A"):
+    family, n = _parse_type(args)
+    if family != "A":
         raise ValueError("tpaths needs type A")
-    n = cartan.n
     c = _parse_coxeter(args, n)
     try:
         i, j = (_natural(x, "--root") for x in args.root.split(","))
@@ -298,16 +294,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--type", help="family plus rank, such as B3")
-    parser.add_argument("--rank", help="rank when --type is a bare family letter")
-    parser.add_argument("--cartan", help="path to a JSON matrix file")
-    parser.add_argument("--coxeter",
-                        help="comma separated simple reflections; default 1..n")
-    parser.add_argument("--emit-json", dest="emit_json",
-                        help="also write the result as JSON to this path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterbrick",
@@ -324,11 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
             ("tpaths", _cmd_tpaths, "enumerate type-A T-paths for one root"),
             ("verify", _cmd_verify, "run theorem and conjecture checks")):
         p = sub.add_parser(name, help=extra)
-        _add_common(p)
         p.set_defaults(fn=fn)
+        # the T-path model reads only the rank: tpaths needs --type A<n>
+        p.add_argument("--type", required=name == "tpaths",
+                       help="family plus rank, such as B3")
         if name == "tpaths":
             p.add_argument("--root", required=True,
                            help="interval i,j naming the root αi+...+αj")
+        else:
+            p.add_argument("--cartan", help="path to a JSON matrix file")
+        p.add_argument("--coxeter",
+                       help="comma separated simple reflections; default 1..n")
+        p.add_argument("--emit-json", dest="emit_json",
+                       help="also write the result as JSON to this path")
         if name == "verify":
             p.add_argument("--checks",
                            help="comma separated check names, or 'all'")

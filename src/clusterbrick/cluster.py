@@ -111,14 +111,12 @@ class MPoly:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def monomial(cls, nvars: int, exponents, coeff: int = 1) -> "MPoly":
+    def monomial(cls, nvars: int, exponents) -> "MPoly":
         e = tuple(exponents)
         if len(e) != nvars:
             raise DimensionMismatch(f"exponent tuple of length {len(e)}, expected {nvars}")
-        if coeff == 0:
-            return cls._make(nvars, {})
         _check_range(e, e)
-        return cls._make(nvars, {_layout(nvars).pack(e): coeff}, e, e)
+        return cls._make(nvars, {_layout(nvars).pack(e): 1}, e, e)
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
@@ -328,11 +326,6 @@ class FPolynomial:
         return f"FPolynomial({self.n}, {self.terms})"
 
 
-def tropical_add(m1, m2) -> Vec:
-    """Componentwise minimum of two y-exponent vectors."""
-    return tuple(min(a, b) for a, b in zip(m1, m2))
-
-
 @dataclass(frozen=True)
 class Seed:
     """Extended exchange matrix (2n x n) and n cluster variables.
@@ -389,6 +382,14 @@ def initial_seed(cartan: CartanMatrix, c) -> Seed:
     return Seed(initial_matrix(cartan, c), variables)
 
 
+def _check_slot(seed: Seed, i: int) -> None:
+    """TypeError unless slot i is an int (not a bool), ValueError outside 1..n."""
+    if type(i) is not int:
+        raise TypeError(f"slot {i!r} is not an int")
+    if not 1 <= i <= seed.n:
+        raise ValueError(f"slot {i} out of range 1..{seed.n}")
+
+
 def exchange_binomial(seed: Seed, i: int) -> MPoly:
     """The product of the variable at slot i (1-based) and its mutation.
 
@@ -397,9 +398,8 @@ def exchange_binomial(seed: Seed, i: int) -> MPoly:
     y^f_i/(y^f_i (+) 1) and 1/(y^f_i (+) 1) are the monomials
     y^(f_i - min(f_i,0)) = y^[f_i]+ and y^(-min(f_i,0)) = y^[-f_i]+.
     """
+    _check_slot(seed, i)
     n = seed.n
-    if not 1 <= i <= n:
-        raise ValueError(f"slot {i} out of range 1..{n}")
     s = i - 1
     f_i = [row[s] for row in seed.matrix[n:]]
     pack = _layout(2 * n).pack
@@ -428,6 +428,7 @@ def mutate(seed: Seed, i: int) -> Seed:
     exchange binomial divided exactly by the old variable; a seed with a
     memo takes it, and each changed row, from the memo's pools.
     """
+    _check_slot(seed, i)
     if seed.memo is not None:
         new_var = seed.memo.quotient(seed, i)
         new_row = seed.memo.row
@@ -577,19 +578,10 @@ class ExchangeMemo:
         return partner is new
 
 
-def principal_part(matrix) -> tuple[tuple[int, ...], ...]:
-    """Top n rows of the extended matrix: the exchange block."""
-    n = len(matrix[0])
-    return tuple(tuple(matrix[s]) for s in range(n))
-
-
 def c_vector(seed: Seed, i: int) -> Vec:
-    """Column i of the coefficient block, simple-root coordinates."""
+    """Column i (1-based) of the coefficient block, simple-root coordinates."""
+    _check_slot(seed, i)
     return tuple([row[i - 1] for row in seed.matrix[seed.n:]])
-
-
-def c_vectors(seed: Seed) -> tuple[Vec, ...]:
-    return tuple(c_vector(seed, i) for i in range(1, seed.n + 1))
 
 
 def d_vector(p: MPoly, n: int) -> Vec:

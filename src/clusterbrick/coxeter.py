@@ -25,8 +25,8 @@ Matrix = tuple[tuple[int, ...], ...]
 def det_int(m: Matrix) -> int:
     """Determinant of a square integer matrix: the elimination of
     `det_adjugate`, run on m alone."""
-    sign, last, _ = _eliminate(m, [()] * len(m))
-    return sign * last
+    sign, met, _ = _eliminate(m, [()] * len(m))
+    return sign * met[-1]
 
 
 def check_coxeter_word(c: Word, n: int) -> None:

@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, ResourceLimit
 from .roots import det_adjugate
 
 Point = tuple[int, ...]
+BOX_CAP = 200_000   # most bounding-box points `lattice_points` scans
 
 
 def _integer_point(point) -> Point:
@@ -192,18 +193,18 @@ class LatticePolytope:
         return (all(_dot(e, x) == 0 for e in equations)
                 and all(_dot(y, x) >= 0 for y in inequalities))
 
-    def lattice_points(self, cap: int = 200000) -> tuple[Point, ...]:
+    def lattice_points(self) -> tuple[Point, ...]:
         """All integer points of the polytope, by scanning the bounding box.
 
-        `cap` bounds the number of box points scanned; the boxes arising from
-        Newton polytopes in ranks up to 5 stay far below the default.
+        BOX_CAP bounds the number of box points scanned; the boxes arising
+        from Newton polytopes in ranks up to 5 stay far below it.
         """
         if not self.vertices:
             return ()
         ranges = [range(min(col), max(col) + 1) for col in zip(*self.vertices)]
         box = prod(map(len, ranges))
-        if box > cap:
-            raise ResourceLimit(f"bounding box has {box} points, over the cap {cap}")
+        if box > BOX_CAP:
+            raise ResourceLimit(f"bounding box has {box} points, over the cap {BOX_CAP}")
         return tuple(p for p in product(*ranges) if self.contains(p))
 
 

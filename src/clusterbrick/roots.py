@@ -97,11 +97,10 @@ def _validate_cartan(rows: tuple[tuple[int, ...], ...]) -> None:
     sym = [[d[s] * rows[s][t] for t in range(n)] for s in range(n)]
     if any(sym[s][t] != sym[t][s] for s in range(n) for t in range(s)):
         raise InvalidCartanMatrix("matrix is not symmetrizable")
-    # Sylvester's criterion: every leading principal minor is positive.
-    for k in range(1, n + 1):
-        sign, last, _ = _eliminate([row[:k] for row in sym[:k]], [()] * k)
-        if sign * last <= 0:
-            raise InvalidCartanMatrix("symmetrization is not positive definite (not finite type)")
+    # Sylvester's criterion: every leading principal minor is positive; the
+    # elimination meets them up to its first swap, which meets a zero minor.
+    if min(_eliminate(sym, [()] * n)[1]) <= 0:
+        raise InvalidCartanMatrix("symmetrization is not positive definite (not finite type)")
 
 
 def _symmetrizer(rows: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -131,31 +130,35 @@ def det_adjugate(matrix) -> tuple[int, tuple[Vec, ...] | None]:
     carries I along, so the right block ends as the last pivot times the
     inverse, up to the sign of the row swaps.  None when singular."""
     n = len(matrix)
-    sign, last, aug = _eliminate(matrix, [[int(r == c) for c in range(n)] for r in range(n)])
-    if not last:
+    sign, met, aug = _eliminate(matrix, [[int(r == c) for c in range(n)] for r in range(n)])
+    if not met[-1]:
         return 0, None
-    return sign * last, tuple(tuple(sign * x for x in row[n:]) for row in aug)
+    return sign * met[-1], tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
-def _eliminate(matrix, right) -> tuple[int, int, list[list[int]]]:
+def _eliminate(matrix, right) -> tuple[int, list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's
     identity and multistep integer-preserving Gaussian elimination", Math.
     Comp. 1968) of a square integer matrix, each row extended by the
     matching row of `right`.  By Sylvester's identity every intermediate
     entry is, up to sign, a minor of the row-permuted extended matrix, so
     each division by the previous pivot is exact.  Returns the sign of the
-    row swaps, the last pivot (the determinant up to that sign, 0 when the
-    matrix is singular) and the eliminated rows.
+    row swaps, the entries met on the diagonal (1 for the empty matrix, then
+    one per step before any swap: the leading principal minors up to the
+    first swap, 0 where a step swaps or stops at a singular matrix, so the
+    last is the determinant up to that sign), and the eliminated rows.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     aug = [list(row) + list(extra) for row, extra in zip(matrix, right)]
     sign = prev = 1
+    met = [1]
     for k in range(n):
+        met.append(aug[k][k])
         pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
-            return sign, 0, aug
+            return sign, met, aug
         if pivot != k:
             aug[k], aug[pivot] = aug[pivot], aug[k]
             sign = -sign
@@ -167,7 +170,7 @@ def _eliminate(matrix, right) -> tuple[int, int, list[list[int]]]:
                 f = row[k]
                 aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return sign, prev, aug
+    return sign, met, aug
 
 
 def finite_family(family: str, rank: int) -> str:
@@ -294,15 +297,6 @@ def weight_diff_to_root_coords(cartan: CartanMatrix, w1: Vec, w2: Vec) -> Vec:
     return tuple(out)
 
 
-def pair(cartan: CartanMatrix, root_vec: Vec, coroot_vec: Vec) -> int:
-    """Pairing of a root-coordinate vector against a coroot-coordinate vector."""
-    _check_dim(cartan, root_vec)
-    _check_dim(cartan, coroot_vec)
-    n = cartan.n
-    return sum(coroot_vec[s] * cartan.rows[s][t] * root_vec[t]
-               for s in range(n) for t in range(n) if coroot_vec[s] and root_vec[t])
-
-
 def height(v: Vec) -> int:
     return sum(v)
 
@@ -417,10 +411,6 @@ def degrees(family: str, rank: int) -> tuple[int, ...]:
     if fam == "D":
         return tuple(sorted(tuple(range(2, 2 * rank - 1, 2)) + (rank,)))
     return _DEGREES_FIXED[(fam, rank)]
-
-
-def coxeter_number(family: str, rank: int) -> int:
-    return max(degrees(family, rank))
 
 
 def w_catalan(family: str, rank: int) -> int:

@@ -114,15 +114,20 @@ def antigreedy_facet(complex_: ClusterComplex) -> Facet:
     return complex_.antigreedy
 
 
+def _positions(positions) -> set[int]:
+    """The set of `positions`; TypeError at one that is not an int."""
+    for k in positions:
+        if type(k) is not int:
+            raise TypeError(f"position {k!r} of {positions!r} is not an int")
+    return set(positions)
+
+
 def is_facet(complex_: ClusterComplex, positions: Facet) -> bool:
     """True when `positions` are n distinct positions whose complement
     spells the longest element w0: the ascent to w0 takes every letter of
     the complement, so it is a reduced word for w0, one letter per positive
     root.  A position that is not an int raises TypeError."""
-    for k in positions:
-        if type(k) is not int:
-            raise TypeError(f"position {k!r} of {positions!r} is not an int")
-    chosen = set(positions)
+    chosen = _positions(positions)
     if not len(chosen) == len(positions) == complex_.n:
         return False
     rest = [q for k, q in enumerate(complex_.word, start=1) if k not in chosen]
@@ -131,9 +136,20 @@ def is_facet(complex_: ClusterComplex, positions: Facet) -> bool:
 
 
 def root_table(complex_: ClusterComplex, facet: Facet) -> RootTable:
-    """Direct construction of both rows in one left-to-right sweep."""
-    return _table(complex_.cartan, complex_.word, set(facet),
-                  complex_.tables.pool)
+    """Direct construction of both rows in one left-to-right sweep.
+
+    Raises ValueError unless `facet` is a facet: n distinct positions in
+    1..m whose complement roots in the sweep are all positive, so that the
+    complement is a reduced word of length N and spells w0.  A position
+    that is not an int raises TypeError.
+    """
+    chosen = _positions(facet)
+    if len(chosen) == len(facet) == complex_.n and 1 <= min(chosen) <= max(chosen) <= complex_.m:
+        table = _table(complex_.cartan, complex_.word, chosen, complex_.tables.pool)
+        zero = (0,) * complex_.n      # a root is positive iff it sorts after zero
+        if all(r > zero for k, r in enumerate(table.roots, 1) if k not in chosen):
+            return table
+    raise ValueError(f"{facet} is not a facet")
 
 
 def _table(cartan: CartanMatrix, word: Word, chosen, pool: dict) -> RootTable:

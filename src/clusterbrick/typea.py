@@ -48,10 +48,10 @@ class Triangulation:
         return self.diagonals.index(e) + 1 if e in self.diagonals else None
 
 
-def triangulation_of_coxeter(c: Word, start: int = 0) -> Triangulation:
+def triangulation_of_coxeter(c: Word) -> Triangulation:
     """Ear-cutting construction of the snake triangulation of a Coxeter word.
 
-    The first ear is cut at `start`.  For i from 2 to n the next ear sits at
+    The first ear is cut at vertex 0.  For i from 2 to n the next ear sits at
     the clockwise neighbor of the previous one when label i occurs before
     label i-1 in c, at the counterclockwise neighbor otherwise.  Diagonal i
     is the edge closing the ear cut at step i, so the triangle cut at step i
@@ -62,10 +62,10 @@ def triangulation_of_coxeter(c: Word, start: int = 0) -> Triangulation:
     check_coxeter_word(c, n)
     size = n + 3
     position = {s: k for k, s in enumerate(c)}
-    remaining = [(start + k) % size for k in range(size)]
+    remaining = list(range(size))
     diagonals = []
     strip = []
-    ear = start
+    ear = 0
     for i in range(1, n + 1):
         idx = remaining.index(ear)
         cw = remaining[idx - 1]
@@ -211,46 +211,3 @@ def f_poly_via_prefixes(c: Word, i: int, j: int) -> FPolynomial:
     labels = range(1, len(c) + 1)
     return FPolynomial(len(c), Counter(tuple(int(s in prefix) for s in labels)
                                        for prefix in restricted_prefixes(c, i, j)))
-
-
-def flip_tpath(tri: Triangulation, path: TPath, label: int) -> TPath:
-    """The path with the sign at `label` toggled; raises when the toggled
-    sign vector is inadmissible."""
-    if label not in path.crossed:
-        raise ValueError(f"label {label} not crossed by this path")
-    idx = path.crossed.index(label)
-    target_signs = tuple(-s if k == idx else s for k, s in enumerate(path.signs))
-    gamma = CrossingDiagonal(path.source, path.target, path.crossed)
-    for cand in enumerate_tpaths(tri, gamma):
-        if cand.signs == target_signs:
-            return cand
-    raise InvariantViolation(f"no valid path with signs {target_signs}")
-
-
-def ambient_representative(v: Vec, coordinate_sum: int) -> tuple[int, ...]:
-    """Type-A vector in the permutation representation on n+1 coordinates.
-
-    A fundamental-weight coordinate vector maps to sum_i v_i (e_1+...+e_i),
-    which is only defined up to adding multiples of (1,...,1); the copy with
-    the requested coordinate sum is returned.  Orbit elements of the i-th
-    fundamental weight are the 0/1 vectors with i ones, so passing i here
-    recovers those; brick vectors use the sum of the letters of the word.
-    """
-    n = len(v)
-    lifted = [sum(v[i] for i in range(t, n)) for t in range(n)] + [0]
-    excess = coordinate_sum - sum(lifted)
-    if excess % (n + 1) != 0:
-        raise ValueError(
-            f"coordinate sum {coordinate_sum} unreachable from {v}")
-    shift = excess // (n + 1)
-    return tuple(x + shift for x in lifted)
-
-
-def boundary_letter(tri: Triangulation, u: int, v: int) -> str:
-    """Display letter for a boundary side; presentational only."""
-    lo = min(u, v)
-    if not tri.is_boundary(u, v):
-        raise ValueError(f"({u}, {v}) is not a boundary side")
-    if (max(u, v) - lo) % tri.size != 1:
-        lo = max(u, v)
-    return chr(ord("A") + lo)

@@ -6,14 +6,36 @@ from collections import deque
 from itertools import combinations
 
 from clusterbrick.cluster import (FPolynomial, MPoly, Seed, initial_matrix, initial_seed,
-                                  mutate, principal_part)
+                                  mutate)
 from clusterbrick.coxeter import Matrix, Word, det_int, restricted_prefixes
 from clusterbrick.errors import InvariantViolation, NotInRootLattice
 from clusterbrick.polytope import convex_hull_vertices
-from clusterbrick.roots import (CartanMatrix, Vec, det_adjugate, positive_roots, reflect_root,
-                                reflect_weight, transpose, weight_diff_to_root_coords)
+from clusterbrick.roots import (CartanMatrix, Vec, _symmetrizer, det_adjugate, positive_roots,
+                                reflect_root, reflect_weight, transpose,
+                                weight_diff_to_root_coords)
 from clusterbrick.subword import ClusterComplex, Facet, flip, is_facet
 from clusterbrick.typea import Edge, Triangle
+
+
+def pair(cartan: CartanMatrix, root_vec: Vec, coroot_vec: Vec) -> int:
+    """Pairing of a root-coordinate vector against a coroot-coordinate
+    vector, summed entry by entry over the Cartan matrix: the reference for
+    `ReflectionTables.pairing`."""
+    n = cartan.n
+    if len(root_vec) != n or len(coroot_vec) != n:
+        raise ValueError(f"vector lengths {len(root_vec)}, {len(coroot_vec)} vs rank {n}")
+    return sum(coroot_vec[s] * cartan.rows[s][t] * root_vec[t]
+               for s in range(n) for t in range(n))
+
+
+def positive_definite_by_minors(rows) -> bool:
+    """Sylvester's criterion one minor at a time: every leading principal
+    minor of the symmetrization of the symmetrizable Cartan matrix `rows`
+    is positive, each from its own elimination."""
+    d = _symmetrizer(rows)
+    sym = [[d[s] * a for a in row] for s, row in enumerate(rows)]
+    return all(det_int([row[:k] for row in sym[:k]]) > 0
+               for k in range(1, len(rows) + 1))
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -145,6 +167,12 @@ def brute_force_facets(complex_: ClusterComplex) -> tuple[Facet, ...]:
     positions = range(1, complex_.m + 1)
     return tuple(combo for combo in combinations(positions, complex_.n)
                  if is_facet(complex_, combo))
+
+
+def principal_part(matrix) -> Matrix:
+    """Top n rows of an extended matrix: the exchange block."""
+    n = len(matrix[0])
+    return tuple(tuple(matrix[s]) for s in range(n))
 
 
 def variable_from_g_and_F(cartan: CartanMatrix, c, g: Vec, F: FPolynomial) -> MPoly:
@@ -436,3 +464,22 @@ def _dual_strip(n: int, diagonals: tuple[Edge, ...], size: int) -> tuple[Triangl
             raise InvariantViolation(f"dual strip not a path at step {k}: {cands}")
         strip.append(cands[0])
     return tuple(strip)
+
+
+def ambient_representative(v: Vec, coordinate_sum: int) -> tuple[int, ...]:
+    """Type-A vector in the permutation representation on n+1 coordinates.
+
+    A fundamental-weight coordinate vector maps to sum_i v_i (e_1+...+e_i),
+    which is only defined up to adding multiples of (1,...,1); the copy with
+    the requested coordinate sum is returned.  Orbit elements of the i-th
+    fundamental weight are the 0/1 vectors with i ones, so passing i here
+    recovers those; brick vectors use the sum of the letters of the word.
+    """
+    n = len(v)
+    lifted = [sum(v[i] for i in range(t, n)) for t in range(n)] + [0]
+    excess = coordinate_sum - sum(lifted)
+    if excess % (n + 1) != 0:
+        raise ValueError(
+            f"coordinate sum {coordinate_sum} unreachable from {v}")
+    shift = excess // (n + 1)
+    return tuple(x + shift for x in lifted)

@@ -21,11 +21,11 @@ from clusterbrick.subword import (antigreedy_facet, brick_vector,
                                   enumerate_facets_with_tables, flip)
 from clusterbrick.polytope import (LatticePolytope, equal_up_to_translation,
                                    minkowski_sum)
-from clusterbrick.typea import ambient_representative
 from clusterbrick.verify import (build_correspondence, check_typea_models,
                                  run_checks)
-from oracles import (all_cluster_variables, brute_force_facets,
-                     enumerate_seeds, loday_summands, weight_function)
+from oracles import (all_cluster_variables, ambient_representative,
+                     brute_force_facets, enumerate_seeds, loday_summands,
+                     weight_function)
 
 
 def run_criterion(number, budget, body):

@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-from clusterbrick import cli
+from clusterbrick import cli, polytope, roots
 from clusterbrick.cli import _jsonable, main, root_string
-from clusterbrick.polytope import LatticePolytope
-from clusterbrick.roots import cartan_of_type, w_catalan
+from clusterbrick.roots import cartan_of_type, cartan_rows, w_catalan
 from clusterbrick.verify import run_checks
 
 
@@ -104,14 +103,6 @@ def test_cartan_file_entries_must_be_integers(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
-def test_rank_is_rejected_with_a_cartan_file(tmp_path, capsys):
-    path = tmp_path / "a1xa1.json"
-    path.write_text("[[2, 0], [0, 2]]")
-    code, out, err = run(capsys, "facets", "--cartan", str(path), "--rank", "7")
-    assert code == 2 and out == ""
-    assert err.startswith("error: --rank")
-
-
 @pytest.mark.parametrize("argv", [
     ("facets", "--type", "A2"),
     ("seeds", "--type", "A2"),
@@ -127,6 +118,17 @@ def test_jobs_is_an_unrecognized_argument(capsys, argv):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("facets", "--type", "A2", "--rank", "3"),
+    ("facets", "--type", "A", "--rank", "0_2"),
+])
+def test_rank_is_an_unrecognized_argument(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rank" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("checks", [",", ""])
 def test_empty_check_list_is_rejected(capsys, checks):
     code, out, err = run(capsys, "verify", "--type", "A2", "--checks", checks)
@@ -140,9 +142,7 @@ def test_run_checks_rejects_an_empty_selection():
 
 
 def test_resource_limit_exits_3(monkeypatch, capsys):
-    lattice_points = LatticePolytope.lattice_points
-    monkeypatch.setattr(LatticePolytope, "lattice_points",
-                        lambda self, cap=1: lattice_points(self, cap))
+    monkeypatch.setattr(polytope, "BOX_CAP", 1)
     code, out, err = run(capsys, "verify", "--type", "A2", "--checks", "lattice")
     assert code == 3
     assert err.startswith("error: resource limit: bounding box has")
@@ -172,6 +172,41 @@ def test_tpaths_walks_no_facets_and_takes_a12(capsys):
     code, out, err = run(capsys, "tpaths", "--type", "A12", "--root", "11,12")
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "F = y11*y12 + y11 + 1"
+
+
+def test_tpaths_builds_no_cartan_matrix(monkeypatch, capsys):
+    def unreachable(rows):
+        raise AssertionError("a Cartan matrix was validated")
+
+    monkeypatch.setattr(roots, "_validate_cartan", unreachable)
+    code, out, err = run(capsys, "tpaths", "--type", "A400", "--root", "3,5")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0].startswith("type A400, coxeter 1,2,3,")
+    assert out.splitlines()[-1] == "F = y3*y4*y5 + y3*y4 + y3 + 1"
+
+
+def test_tpaths_takes_no_cartan_file(tmp_path, capsys):
+    path = tmp_path / "a2.json"
+    path.write_text("[[2, -1], [-1, 2]]")
+    with pytest.raises(SystemExit) as exc:
+        main(["tpaths", "--cartan", str(path), "--type", "A2", "--root", "1,2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cartan" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["tpaths", "--root", "1,2"])
+    assert "required: --type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label, facets", [
+    ("A12", "at least 742,900"), ("B11", "705,432")])
+def test_a_recognised_cartan_file_meets_the_facet_cap(tmp_path, capsys, label, facets):
+    """A --cartan matrix that `type_label` names is capped like its --type."""
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(cartan_rows(label[0], int(label[1:]))))
+    code, out, err = run(capsys, "facets", "--cartan", str(path))
+    assert code == 3 and out == ""
+    assert err == (f"error: resource limit: type {label} has {facets} facets, "
+                   "over the cap of 250,000\n")
 
 
 @pytest.mark.parametrize("label", ["B10", "C10", "D10", "A11", "E8"])
@@ -216,7 +251,6 @@ def test_exit_code_two_on_malformed_input(capsys):
         ("facets", "--type", "G" + "9" * 40),
         ("facets",),
         ("facets", "--type", "A"),
-        ("facets", "--type", "A2", "--rank", "3"),
         ("facets", "--type", "A2", "--coxeter", "1,3"),
         ("facets", "--type", "A2", "--coxeter", "1"),
         ("facets", "--type", "A2", "--coxeter", "1,x"),
@@ -227,8 +261,7 @@ def test_exit_code_two_on_malformed_input(capsys):
         ("tpaths", "--type", "A2", "--root", "2,1"),
         ("tpaths", "--type", "A2", "--root", "1;2"),
         ("tpaths", "--type", "A3", "--coxeter", "1,2", "--root", "1,2"),
-        # not ASCII digits, though int() reads the first three as 2, 2 and 3
-        ("facets", "--type", "A", "--rank", "0_2"),
+        # not ASCII digits, though int() reads the first two as 2 and 3
         ("facets", "--type", "A2", "--coxeter", "1,+2"),
         ("facets", "--type", "B\u0663"),      # Arabic-Indic digit three
         ("facets", "--type", "B\u00b3"),      # superscript three

@@ -5,21 +5,25 @@ import pytest
 from clusterbrick.errors import InexactDivision, InvariantViolation
 from clusterbrick.roots import cartan_of_type, positive_roots
 from clusterbrick.coxeter import coxeter_words
-from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly, c_vectors,
+from clusterbrick.cluster import (ExchangeMemo, FPolynomial, MPoly, c_vector,
                                   d_vector, exact_div, exchange_binomial,
                                   f_polynomial, format_fpoly, format_laurent,
                                   g_vector, initial_matrix, initial_seed, mutate,
-                                  principal_part, tropical_add, variable_names)
+                                  variable_names)
 from oracles import (all_cluster_variables, cluster_key, enumerate_seeds,
-                     g_from_F, variable_from_g_and_F)
+                     g_from_F, principal_part, variable_from_g_and_F)
 
 A2 = cartan_of_type("A", 2)
 A3 = cartan_of_type("A", 3)
 B2 = cartan_of_type("B", 2)
 
 
-def mono(nvars, exps, coeff=1):
-    return MPoly.monomial(nvars, exps, coeff)
+def mono(nvars, exps):
+    return MPoly.monomial(nvars, exps)
+
+
+def c_vectors(seed):
+    return tuple(c_vector(seed, i) for i in range(1, seed.n + 1))
 
 
 def test_mpoly_arithmetic():
@@ -27,7 +31,7 @@ def test_mpoly_arithmetic():
     y = mono(2, (0, 1))
     one = MPoly.constant(2, 1)
     assert (x + y) * (x - y) == x * x - y * y
-    assert (x + one) ** 2 == x * x + mono(2, (1, 0), 2) + one
+    assert (x + one) ** 2 == x * x + MPoly(2, {(1, 0): 2}) + one
     assert (x - x).is_zero()
     assert hash(x * y) == hash(y * x)
     # Laurent exponents are allowed
@@ -51,12 +55,6 @@ def test_exact_division_with_laurent_denominator():
     xinv = mono(2, (-1, 0))
     y = mono(2, (0, 1))
     assert exact_div(x + y, xinv) == x * (x + y)
-
-
-def test_tropical_add():
-    assert tropical_add((1, 0), (0, 1)) == (0, 0)
-    assert tropical_add((2, 3), (1, 5)) == (1, 3)
-    assert tropical_add((0, 0), (0, 0)) == (0, 0)
 
 
 def test_initial_matrix_goldens():
@@ -110,6 +108,22 @@ def test_pentagon_coefficient_pairs():
         frozenset({(-1, 0), (0, -1)}),
         frozenset({(-1, -1), (0, 1)}),
     }
+
+
+@pytest.mark.parametrize("fn", [c_vector, exchange_binomial, mutate])
+@pytest.mark.parametrize("memo", [False, True])
+def test_slot_indices_are_validated(fn, memo):
+    seed = initial_seed(A2, (1, 2))
+    if memo:
+        seed = ExchangeMemo().attach(seed)
+    for bad in (True, False, 1.0, "1", None):
+        with pytest.raises(TypeError, match="is not an int"):
+            fn(seed, bad)
+    for bad in (0, -1, 3):      # 0 used to wrap round to slot 2
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            fn(seed, bad)
+    for good in (1, 2):
+        fn(seed, good)
 
 
 def test_mutation_is_involution():

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterbrick import roots
 from clusterbrick.coxeter import det_int
 from clusterbrick.errors import (InvalidCartanMatrix, InvariantViolation,
                                  NotInRootLattice)
 from clusterbrick.roots import (CartanMatrix, _symmetrizer, cartan_of_type,
-                                det_adjugate, root_to_weight_coords,
+                                cartan_rows, det_adjugate, root_to_weight_coords,
                                 weight_diff_to_root_coords)
-from oracles import matrix_inverse
+from oracles import matrix_inverse, positive_definite_by_minors
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
          ("C", 2), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7),
@@ -132,6 +133,47 @@ def test_cartan_validation_matches_fraction_minors(rows):
             CartanMatrix(rows)
 
 
+AFFINE_A2 = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+# affine A2 with a tail: the third leading minor is 0 but the matrix is not
+# singular, so elimination swaps rows there and goes on
+AFFINE_A2_TAIL = ((2, -1, -1, 0), (-1, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -1, 2))
+
+
+@pytest.mark.parametrize("rows", [
+    *(cartan_rows(f, r) for f, r in TYPES), cartan_rows("A", 12),
+    AFFINE_A2, AFFINE_A2_TAIL,
+    ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -2, 2)),     # affine B3
+    ((2, -1, 0), (-1, 2, -1), (0, -3, 2)),                               # affine G2
+    ((2, 0, 0, 0, -1), (0, 2, 0, 0, -1), (0, 0, 2, 0, -1), (0, 0, 0, 2, -1),
+     (-1, -1, -1, -1, 2)),                                                # affine D4
+])
+def test_one_elimination_decides_positive_definiteness(monkeypatch, rows):
+    calls = []
+    eliminate = roots._eliminate
+
+    def counting(matrix, right):
+        calls.append(len(matrix))
+        return eliminate(matrix, right)
+
+    monkeypatch.setattr(roots, "_eliminate", counting)
+    try:
+        CartanMatrix(rows)
+        finite = True
+    except InvalidCartanMatrix as err:
+        assert "not positive definite" in str(err)
+        finite = False
+    assert calls == [len(rows)]
+    monkeypatch.undo()
+    assert finite == positive_definite_by_minors(rows)
+
+
+def test_a_zero_leading_minor_is_met_at_the_row_swap():
+    d = _symmetrizer(AFFINE_A2_TAIL)
+    sym = [[d[s] * a for a in row] for s, row in enumerate(AFFINE_A2_TAIL)]
+    sign, met, _ = roots._eliminate(sym, [()] * 4)
+    assert met == [1, 2, 3, 0, 3] and sign == -1 and det_int(sym) == -3
+
+
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_symmetrizer_is_positive_integers(family, rank):
     rows = cartan_of_type(family, rank).rows
@@ -162,6 +204,11 @@ def test_package_imports_no_fractions():
             if any(forbidden & set(m.split(".")) for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_the_empty_matrix_has_determinant_one():
+    assert det_int(()) == 1
+    assert det_adjugate(()) == (1, ())
 
 
 def test_det_adjugate_rejects_non_square():

@@ -169,7 +169,7 @@ def test_inexact_division_matches_oracle(case, multiply, perturb):
     num, num0 = (p * den, p0 * den0) if multiply else (p, p0)
     if perturb:
         extra = tuple((perturb * k) % 5 - 2 for k in range(nvars))
-        num = num + MPoly.monomial(nvars, extra, perturb)
+        num = num + MPoly(nvars, {extra: perturb})
         num0 = num0 + TupleMPoly(nvars, {extra: perturb})
     try:
         expected = tuple_exact_div(num0, den0)
@@ -224,7 +224,7 @@ def test_division_that_would_descend_forever_stops_at_the_box():
 
 def test_exponent_range_limits():
     lo, hi = -2 ** 14, 2 ** 14 - 1
-    edge = MPoly.monomial(3, (lo, hi, 0), 5)
+    edge = MPoly(3, {(lo, hi, 0): 5})
     assert edge.terms == {(lo, hi, 0): 5}
     x = MPoly.monomial(3, (1, 0, 0))
     assert MPoly.monomial(3, (hi, 0, 0)) * MPoly.monomial(3, (lo, 0, 0)) == \

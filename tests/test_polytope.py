@@ -2,6 +2,7 @@
 
 import pytest
 
+from clusterbrick import polytope
 from clusterbrick.errors import DimensionMismatch, ResourceLimit
 from clusterbrick.polytope import (LatticePolytope, convex_hull_vertices,
                                    equal_up_to_translation, minkowski_sum,
@@ -41,15 +42,16 @@ def test_membership_in_three_dimensions():
     assert not simplex.contains((0, 0, 3))
 
 
-def test_lattice_points():
+def test_lattice_points(monkeypatch):
     P = LatticePolytope([(0, 0), (2, 0), (0, 2)])
     assert P.lattice_points() == (
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
     segment = LatticePolytope([(0, 0, 0), (0, 3, 0)])
     assert segment.lattice_points() == (
         (0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0))
+    monkeypatch.setattr(polytope, "BOX_CAP", 1)
     with pytest.raises(ResourceLimit, match="over the cap 1"):
-        segment.lattice_points(cap=1)
+        segment.lattice_points()
 
 
 def test_vertex_count_of_cross_polygon():

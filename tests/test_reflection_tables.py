@@ -12,10 +12,11 @@ import pytest
 
 from clusterbrick.coxeter import coxeter_words
 from clusterbrick.roots import (ReflectionTables, cartan_of_type, coroot_of_root,
-                                pair, reflection_tables, root_to_weight_coords)
+                                reflection_tables, root_to_weight_coords)
 from clusterbrick.subword import (build_complex, enumerate_facets,
                                   enumerate_facets_with_tables, flip,
                                   root_table, update_after_flip)
+from oracles import pair
 
 ROOT = Path(__file__).resolve().parents[1]
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),

@@ -5,11 +5,11 @@ import pytest
 from clusterbrick.errors import (InvalidCartanMatrix, InvalidCartanType,
                                  NotInRootLattice)
 from clusterbrick.roots import (CartanMatrix, cartan_of_type, coroot_of_root,
-                                coxeter_number, degrees, height, pair,
-                                positive_roots, reflect_coroot, reflect_root,
-                                reflect_weight, root_to_weight_coords,
-                                transpose, w_catalan,
+                                degrees, height, positive_roots,
+                                reflect_coroot, reflect_root, reflect_weight,
+                                root_to_weight_coords, transpose, w_catalan,
                                 weight_diff_to_root_coords)
+from oracles import pair
 
 FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
             ("C", 2), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
@@ -169,15 +169,16 @@ def test_degrees_and_coxeter_number():
     assert degrees("E", 6) == (2, 5, 6, 8, 9, 12)
     assert degrees("F", 4) == (2, 6, 8, 12)
     assert degrees("G", 2) == (2, 6)
-    assert coxeter_number("A", 2) == 3
-    assert coxeter_number("D", 4) == 6
+    assert max(degrees("A", 2)) == 3
+    assert max(degrees("D", 4)) == 6
     # the degree list must multiply out to the Weyl group order:
     # number of positive roots equals sum of (d_i - 1)
     for family, rank in FAMILIES:
         ds = degrees(family, rank)
         assert sum(d - 1 for d in ds) == len(
             positive_roots(cartan_of_type(family, rank)))
-        assert max(ds) == coxeter_number(family, rank)
+        # the Coxeter number h is the largest degree, and 2N = n h
+        assert 2 * sum(d - 1 for d in ds) == rank * max(ds)
 
 
 def test_w_catalan_goldens():

@@ -1,5 +1,7 @@
 """Facets of the subword complex, root and weight functions, flips, bricks."""
 
+from itertools import combinations
+
 import pytest
 
 from clusterbrick.roots import cartan_of_type, coroot_of_root, positive_roots
@@ -48,6 +50,34 @@ def test_is_facet_rejects_a_position_that_is_not_an_int():
     for positions in ((True, 2), (1.0, 2)):
         with pytest.raises(TypeError, match="not an int"):
             is_facet(cx, positions)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (flip, ((1, 3), 1)),            # flip used to answer ((3, 5), 5)
+    (brick_vector, ((0, 9),)),      # brick_vector used to answer (-1, 1)
+    (root_table, ((1, 1),)),
+    (root_table, ((1, 3),)),        # distinct and in range, complement 2 2 1
+    (root_table, ((3,),)),
+    (root_table, ((3, 4, 5),)),
+    (brick_vector, ((5, 6),)),
+    (flip, ((0, 2), 2)),
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_non_facets_are_refused(fn, args):
+    cx = build_complex(A2, (1, 2))        # word 1 2 1 2 1
+    with pytest.raises(ValueError, match="is not a facet"):
+        fn(cx, *args)
+
+
+@pytest.mark.parametrize("cartan, c", [(A2, (2, 1)), (A3, (2, 1, 3)), (B2, (1, 2))])
+def test_root_table_accepts_exactly_the_facets(cartan, c):
+    cx = build_complex(cartan, c)
+    for positions in combinations(range(0, cx.m + 2), cx.n):
+        try:
+            root_table(cx, positions)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == is_facet(cx, positions), positions
 
 
 def test_antigreedy_needs_a_reduced_word_for_the_longest_element():
@@ -205,7 +235,7 @@ def test_pointwise_functions_match_table():
 
 
 def test_coroot_function_pairs_to_two():
-    from clusterbrick.roots import pair
+    from oracles import pair
     for cartan, c in [(A2, (1, 2)), (B2, (1, 2)), (B2, (2, 1))]:
         cx = build_complex(cartan, c)
         for facet in enumerate_facets(cx):
