@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -14,8 +15,8 @@ from .cluster import c_vector, d_vector, format_fpoly, format_laurent, g_vector
 from .coxeter import check_coxeter_word
 from .errors import ClusterBrickError, ResourceLimit
 from .polytope import LatticePolytope
-from .roots import CartanMatrix, cartan_of_type, finite_family, \
-    positive_roots, w_catalan, weight_diff_to_root_coords
+from .roots import CartanMatrix, bourbaki_family, cartan_of_type, \
+    finite_family, positive_roots, w_catalan, weight_diff_to_root_coords
 from .subword import (antigreedy_facet, brick_vector, build_complex,
                       enumerate_facets_with_tables)
 from .typea import (diagonal_of_root, enumerate_tpaths, f_poly_via_tpaths,
@@ -86,15 +87,14 @@ def _parse_type(args) -> tuple[str, int]:
 def _parse_cartan(args) -> CartanMatrix:
     """The Cartan matrix that --type or --cartan names.  A type with more
     than MAX_FACETS facets is refused: a --type before its matrix is built,
-    a --cartan file when `type_label` recognises it."""
+    a --cartan file when `bourbaki_family` recognises it."""
     if args.cartan is not None:
         if args.type is not None:
             raise ValueError("give either --type or --cartan, not both")
         with open(args.cartan, encoding="utf-8") as handle:
             cartan = CartanMatrix(json.load(handle))
-        label = type_label(cartan)
-        if not label.startswith("custom"):
-            _refuse_too_many_facets(label[0], cartan.n)
+        if family := bourbaki_family(cartan):
+            _refuse_too_many_facets(family, cartan.n)
         return cartan
     if args.type is None:
         raise ValueError("one of --type or --cartan is required")
@@ -287,10 +287,7 @@ def _cmd_verify(args) -> int:
             print(f"  counterexample: {report.counterexample}")
     _emit(args.emit_json, {
         "type": type_label(cartan), "coxeter": c,
-        "reports": [{
-            "name": r.name, "label": r.label, "coxeter": r.coxeter,
-            "passed": r.passed, "counterexample": r.counterexample,
-            "elapsed": r.elapsed} for r in reports]})
+        "reports": [dataclasses.asdict(r) for r in reports]})
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -467,12 +467,12 @@ class ExchangeMemo:
     column, the c-vector of the slot, and the index of the old variable.
     The exchange binomial depends on nothing else.  `partners` maps each
     key to the variable whose product with the old one is that binomial,
-    certified by `quotient` or `certify`, and the reverse key back to the
-    old variable: mutation at slot s negates column s in all 2n rows and
-    keeps the other slots, so the reverse key negates the column entries
-    and the c-vector, and the binomial is the same.  The mutated seed's key
-    at s is the reverse key, so `is_partner` certifies the inverse mutation
-    by one lookup.
+    certified by `quotient`, and the reverse key back to the old variable:
+    mutation at slot s negates column s in all 2n rows and keeps the other
+    slots, so the reverse key negates the column entries and the c-vector,
+    and the binomial is the same.  The mutated seed's key at s is the
+    reverse key, so `is_partner` certifies the inverse mutation by one
+    lookup.
 
     Every interned variable is also filed under the x part of the low
     corner of its exponent box, its negated d-vector.  In finite type the
@@ -530,22 +530,14 @@ class ExchangeMemo:
         return (tuple(column), tuple([row[s] for row in matrix[len(variables):]]),
                 old)
 
-    def record(self, key: tuple, old: MPoly, new: MPoly) -> None:
-        """Enter a certified exchange: new * old is the binomial of `key`."""
-        column, c, _ = key
-        reverse = (tuple((k, -b) for k, b in column), tuple(-a for a in c),
-                   self.index(new))
-        self.partners[key], self.partners[reverse] = new, old
-
     def quotient(self, seed: Seed, i: int) -> MPoly:
         """The interned variable that mutation at slot i brings in.
 
         On a key miss the exchange binomial is built once.  The quotient's
         exponent box is the binomial's minus the old variable's, which
         names the one candidate filed under that d-vector; the candidate
-        is certified by the product check of `certify`.  Only with no
-        candidate, or one that fails the check, is the binomial divided
-        exactly."""
+        is certified by one product check.  Only with no candidate, or one
+        that fails the check, is the binomial divided exactly."""
         key = self.exchange_key(seed, i)
         new_var = self.partners.get(key)
         if new_var is None:
@@ -556,26 +548,16 @@ class ExchangeMemo:
             new_var = self._by_low.get(low)
             if new_var is None or new_var * old != binomial:
                 new_var = self.intern(exact_div(binomial, old))
-            self.record(key, old, new_var)
+            column, c, _ = key
+            reverse = (tuple((k, -b) for k, b in column), tuple(-a for a in c),
+                       self.index(new_var))
+            self.partners[key], self.partners[reverse] = new_var, old
         return new_var
 
     def is_partner(self, seed: Seed, i: int, new: MPoly) -> bool:
         """True when `new` is the partner recorded under the exchange key of
         slot i, with no product check: seeds of two keys can share a binomial."""
         return self.partners.get(self.exchange_key(seed, i)) is new
-
-    def certify(self, seed: Seed, i: int, new: MPoly) -> bool:
-        """True when `new` times the variable at slot i is the exchange
-        binomial.  A recorded partner must be `new` itself (the Laurent ring
-        is a domain, and variables are interned); with none, the product is
-        multiplied out once and, when it holds, the exchange recorded."""
-        key = self.exchange_key(seed, i)
-        partner = self.partners.get(key)
-        old = seed.variables[i - 1]
-        if partner is None and new * old == exchange_binomial(seed, i):
-            self.record(key, old, new)
-            return True
-        return partner is new
 
 
 def c_vector(seed: Seed, i: int) -> Vec:

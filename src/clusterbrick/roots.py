@@ -183,6 +183,14 @@ def finite_family(family: str, rank: int) -> str:
     return fam
 
 
+def bourbaki_family(cartan: CartanMatrix) -> str | None:
+    """The family letter, such as "B", whose Bourbaki matrix of rank n is
+    `cartan`; None for a relabelled, reducible or other matrix."""
+    n = cartan.n
+    return next((family for family, rank_ok in _RANK_OK.items()
+                 if rank_ok(n) and cartan_rows(family, n) == cartan.rows), None)
+
+
 def cartan_of_type(family: str, rank: int) -> CartanMatrix:
     """Cartan matrix for an irreducible finite type in Bourbaki numbering."""
     return CartanMatrix(cartan_rows(family, rank))
@@ -339,7 +347,7 @@ def coroot_of_root(cartan: CartanMatrix) -> dict[Vec, Vec]:
 
 class _WeightImages(dict):
     """w -> pooled s_beta(w), computed on first lookup; both directions are
-    stored (s_beta is an involution), and racing fills store equal values."""
+    stored (s_beta is an involution)."""
 
     def __init__(self, pool: dict, beta_co: Vec, beta_w: Vec):
         super().__init__()

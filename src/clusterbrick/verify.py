@@ -7,20 +7,22 @@ variable, is the only place where cluster identity is certified: by its
 d-vector when the position is first seen, by identity of interned objects
 after that.  Each undirected flip edge is certified for its exchange
 relation by the walk's `ExchangeMemo`, which files every certified partner
-under the exchange key and its reverse: a tree edge by its mutation, a
-non-tree edge by a lookup or one product check, and the second sighting
-of either by one lookup of the reverse key.  So one division or product
-covers an exchange pair in both directions, and the walk divides once
-per new cluster variable.  The checks read the
-resulting `Correspondence`, which also builds each F-polynomial, Newton
-polytope and weight-column hull once, on first use.  Facts about adjacent
-facets are certified on the flip between them, as lookups in the pooled
-reflection tables: `c-vectors` takes one determinant, at the greedy
-facet, and `lemmas` checks weight monotonicity in its local form.
+under the exchange key and its reverse.  The first sighting of an edge,
+tree or not, goes through `ExchangeMemo.quotient`: a lookup, or one
+product check, or an exact division; the second sighting is one lookup
+of the reverse key.  So one division or product covers an exchange pair
+in both directions, and the walk divides once per new cluster variable.
+The checks read the resulting `Correspondence`, which also builds each
+F-polynomial, Newton polytope and weight-column hull once, on first use.
+Facts about adjacent facets are certified on the flip between them, as
+lookups in the pooled reflection tables: `c-vectors` takes one
+determinant, at the greedy facet, and `lemmas` checks weight monotonicity
+in its local form.
 
-Every check returns a Report rather than raising: a failed mathematical
-statement is data (with a counterexample payload), not a crash.  Structural
-problems that would make the comparison itself meaningless still raise
+Every check is a body of the walk, run through one frame, `_run`, that
+returns a Report rather than raising: a failed mathematical statement is
+data (with a counterexample payload), not a crash.  Structural problems
+that would make the comparison itself meaningless still raise
 InvariantViolation.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from types import MappingProxyType
@@ -36,27 +38,19 @@ from types import MappingProxyType
 from .cluster import (ExchangeMemo, MPoly, Seed, d_vector, f_polynomial,
                       g_vector, initial_seed, mutate)
 from .coxeter import Word, det_int
-from .errors import InvalidCartanType, InvariantViolation, NotInRootLattice
+from .errors import InexactDivision, InvariantViolation, NotInRootLattice
 from .polytope import LatticePolytope, equal_up_to_translation, minkowski_sum
-from .roots import (CartanMatrix, Vec, cartan_of_type, cartan_rows,
-                    coroot_of_root, reflection_tables,
-                    root_to_weight_coords, w_catalan, weight_diff_to_root_coords)
+from .roots import (CartanMatrix, Vec, bourbaki_family, cartan_of_type,
+                    coroot_of_root, root_to_weight_coords, w_catalan,
+                    weight_diff_to_root_coords)
 from .subword import (ClusterComplex, Facet, RootTable, antigreedy_facet,
                       brick_vector, build_complex, greedy_facet, walk_flips)
 from .typea import f_poly_via_prefixes, f_poly_via_tpaths, triangulation_of_coxeter
 
-_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
 
 def type_label(cartan: CartanMatrix) -> str:
     """Family-plus-rank label such as "B3", or "custom3" when unrecognized."""
-    for family in _FAMILIES:
-        try:
-            if cartan_rows(family, cartan.n) == cartan.rows:
-                return f"{family}{cartan.n}"
-        except InvalidCartanType:  # the family has no type of this rank
-            continue
-    return f"custom{cartan.n}"
+    return f"{bourbaki_family(cartan) or 'custom'}{cartan.n}"
 
 
 @dataclass(frozen=True)
@@ -197,13 +191,13 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     node keeps the partner positions of its flips as the walk yields them.
 
     Each undirected flip edge is certified for its exchange relation, so
-    the result does not depend on the path.  A flip into a new facet
-    mutates: `ExchangeMemo.quotient` divides exactly once per new cluster
-    variable, and certifies every other exchange pair it meets by one
-    product check.  The first sighting of a flip into a facet found
-    earlier is `ExchangeMemo.certify`, a lookup or one product check.  The
+    the result does not depend on the path.  The first sighting of every
+    edge goes through `ExchangeMemo.quotient`, which divides exactly once
+    per new cluster variable and certifies every other exchange pair it
+    meets by one product check: a flip into a new facet mutates, and a
+    flip into a facet found earlier must give that facet's variable.  The
     second sighting of any edge, which in breadth-first order is a flip
-    into a facet discovered before the current one, is
+    into a facet already walked (its partner list is not empty), is
     `ExchangeMemo.is_partner`, one lookup of the reverse key that the
     first sighting filed.
 
@@ -219,7 +213,6 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
     memo = ExchangeMemo()
     # facet -> [table, seed, slots, partners found so far], in discovery order
     walk: dict[Facet, list] = {}
-    order: dict[Facet, int] = {}
     by_pos: dict[int, MPoly] = {}
     for facet, i, new_facet, j, new_table in walk_flips(complex_):
         if facet is None:
@@ -230,28 +223,31 @@ def build_correspondence(cartan: CartanMatrix, c: Word) -> Correspondence:
             at = facet.index(i)
             slot = slots[at]
             if new_table is None:
-                _, known, known_slots, _ = walk[new_facet]
+                _, known, known_slots, walked = walk[new_facet]
                 v = known.variables[known_slots[new_facet.index(j)] - 1]
-                if order[new_facet] < order[facet]:
+                if walked:
                     if not memo.is_partner(seed, slot, v):
                         raise InvariantViolation(
                             f"walk desynchronized at facet {new_facet}: the flip "
                             f"back from {facet} is not the inverse mutation")
-                elif not memo.certify(seed, slot, v):
-                    raise InvariantViolation(
-                        f"walk desynchronized at facet {new_facet}: two paths "
-                        "give different clusters")
-                continue
+                    continue
+                try:
+                    if memo.quotient(seed, slot) is v:
+                        continue
+                    cause = None
+                except InexactDivision as err:
+                    cause = err
+                raise InvariantViolation(
+                    f"walk desynchronized at facet {new_facet}: two paths "
+                    "give different clusters") from cause
             rest = slots[:at] + slots[at + 1:]
             at = new_facet.index(j)
             new_seed, new_slots = mutate(seed, slot), rest[:at] + (slot,) + rest[at:]
         _assert_position_map(complex_, new_facet, new_seed, new_slots, by_pos)
-        order[new_facet] = len(order)
         walk[new_facet] = [new_table, new_seed, new_slots, []]
-    label = type_label(cartan)
-    if not label.startswith("custom") and len(walk) != w_catalan(label[0], n):
+    if (family := bourbaki_family(cartan)) and len(walk) != w_catalan(family, n):
         raise InvariantViolation(
-            f"{len(walk)} facets, expected {w_catalan(label[0], n)}")
+            f"{len(walk)} facets, expected {w_catalan(family, n)}")
     if len(by_pos) != m:
         raise InvariantViolation(f"{len(by_pos)} positions reached, expected {m}")
     nodes = {}
@@ -271,19 +267,40 @@ def variables_by_root(cartan: CartanMatrix, c: Word) -> Mapping:
     return build_correspondence(cartan, c).variables
 
 
-def _report(name: str, cartan: CartanMatrix, c: Word, started: float,
-            counterexample: dict | None) -> Report:
-    return Report(name, type_label(cartan), tuple(c), counterexample is None,
+_BODIES: dict[str, Callable] = {}   # check name -> body, in check_names order
+
+
+def _run(name: str, cartan: CartanMatrix, c: Word) -> Report:
+    """Run a check's body on the walk, looked up through the module global
+    `build_correspondence`, and report, timed with the lookup included."""
+    started = time.monotonic()
+    word = tuple(c)
+    counterexample = _BODIES[name](build_correspondence(cartan, word))
+    return Report(name, type_label(cartan), word, counterexample is None,
                   counterexample, time.monotonic() - started)
 
 
-def check_c_vectors(cartan: CartanMatrix, c: Word) -> Report:
+def _check(name: str):
+    """Register the decorated body, which returns a counterexample payload
+    or None, as the check `name`; return its check of (cartan, c), named
+    and documented as the body but with no `__wrapped__` for `inspect`."""
+    def register(body):
+        _BODIES[name] = body
+
+        def check(cartan: CartanMatrix, c: Word) -> Report:
+            return _run(name, cartan, c)
+        check.__name__, check.__qualname__, check.__doc__ = (
+            body.__name__, body.__qualname__, body.__doc__)
+        return check
+    return register
+
+
+@_check("c-vectors")
+def check_c_vectors(corr: Correspondence) -> dict | None:
     """c-vectors equal the root configuration; they are sign-coherent and
     form a lattice basis (determinant of absolute value one) at every facet:
     by one determinant at the greedy facet, carried to every other facet
     along one flip by `_determinant_carries`."""
-    started = time.monotonic()
-    corr = build_correspondence(cartan, c)
     n = corr.complex_.n
     greedy = greedy_facet(corr.complex_)
     for node in corr.nodes.values():
@@ -294,20 +311,17 @@ def check_c_vectors(cartan: CartanMatrix, c: Word) -> Report:
             actual = c_vectors[s - 1]
             rows.append(expected)
             if actual != expected:
-                return _report("c-vectors", cartan, c, started, {
-                    "facet": node.facet, "position": i,
-                    "expected": expected, "actual": actual})
+                return {"facet": node.facet, "position": i,
+                        "expected": expected, "actual": actual}
             if not (all(x >= 0 for x in actual) or all(x <= 0 for x in actual)):
-                return _report("c-vectors", cartan, c, started, {
-                    "facet": node.facet, "position": i,
-                    "expected": "sign-coherent vector", "actual": actual})
+                return {"facet": node.facet, "position": i,
+                        "expected": "sign-coherent vector", "actual": actual}
         if not (abs(det_int(tuple(rows))) == 1 if node.facet == greedy
                 else _determinant_carries(corr, node)):
-            return _report("c-vectors", cartan, c, started, {
-                "facet": node.facet,
-                "expected": "root configuration with determinant +-1",
-                "actual": rows})
-    return _report("c-vectors", cartan, c, started, None)
+            return {"facet": node.facet,
+                    "expected": "root configuration with determinant +-1",
+                    "actual": rows}
+    return None
 
 
 def _determinant_carries(corr: Correspondence, node: Node) -> bool:
@@ -334,14 +348,13 @@ def _determinant_carries(corr: Correspondence, node: Node) -> bool:
                     for k in node.facet if k != i))
 
 
-def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
+@_check("g-vectors")
+def check_g_vectors(corr: Correspondence) -> dict | None:
     """g-vectors equal the weight configuration, and the weight and coroot
     configurations pair to the identity matrix (the transpose-inverse
     relation between the g- and c-matrices)."""
-    started = time.monotonic()
-    corr = build_correspondence(cartan, c)
     n = corr.complex_.n
-    coroot = coroot_of_root(cartan)
+    coroot = coroot_of_root(corr.complex_.cartan)
     g_of: dict[int, Vec] = {}       # id of an interned variable -> g-vector
     # id of a weight -> id of a root -> <weight, root_co>; the walk's weights
     # and roots are pooled, and all of them stay alive during the check
@@ -352,9 +365,8 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
             var = node.seed.variables[s - 1]
             actual = g_of.get(id(var)) or g_of.setdefault(id(var), g_vector(var, n))
             if actual != weights[i - 1]:
-                return _report("g-vectors", cartan, c, started, {
-                    "facet": node.facet, "position": i,
-                    "expected": weights[i - 1], "actual": actual})
+                return {"facet": node.facet, "position": i,
+                        "expected": weights[i - 1], "actual": actual}
         for i in node.facet:
             w = weights[i - 1]
             pairings = dots.get(id(w))
@@ -366,20 +378,18 @@ def check_g_vectors(cartan: CartanMatrix, c: Word) -> Report:
                 if dot is None:
                     dot = pairings[id(root)] = sum(x * y for x, y in zip(w, coroot[root]))
                 if dot != (i == j):
-                    return _report("g-vectors", cartan, c, started, {
-                        "facet": node.facet, "position": (i, j),
-                        "expected": int(i == j), "actual": dot})
-    return _report("g-vectors", cartan, c, started, None)
+                    return {"facet": node.facet, "position": (i, j),
+                            "expected": int(i == j), "actual": dot}
+    return None
 
 
-def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
+@_check("exchange")
+def check_exchange_matrix(corr: Correspondence) -> dict | None:
     """The principal part of every exchange matrix is recovered from the
     root and coroot configurations: entry (i,j) is the pairing of the root
     at j against the coroot at i, negated when i < j.  The pairings are
-    read from `reflection_tables`."""
-    started = time.monotonic()
-    corr = build_correspondence(cartan, c)
-    pairing = reflection_tables(cartan).pairing
+    read from the reflection tables."""
+    pairing = corr.complex_.tables.pairing
     for node in corr.nodes.values():
         matrix, roots = node.seed.matrix, node.table.roots
         for i, s in zip(node.facet, node.slots):
@@ -391,13 +401,13 @@ def check_exchange_matrix(cartan: CartanMatrix, c: Word) -> Report:
                     value = against_i[roots[j - 1]]
                     expected = -value if i < j else value
                 if row[t - 1] != expected:
-                    return _report("exchange", cartan, c, started, {
-                        "facet": node.facet, "position": (i, j),
-                        "expected": expected, "actual": row[t - 1]})
-    return _report("exchange", cartan, c, started, None)
+                    return {"facet": node.facet, "position": (i, j),
+                            "expected": expected, "actual": row[t - 1]}
+    return None
 
 
-def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
+@_check("lemmas")
+def check_lemmas(corr: Correspondence) -> dict | None:
     """Weight rigidity and monotonicity along the flip graph.
 
     Each column takes a single value on the facets containing it (so the
@@ -408,20 +418,17 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
     weight difference of a column beyond the first n is exactly its
     positive root.
     """
-    started = time.monotonic()
-    corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
-    n, m = complex_.n, complex_.m
+    cartan, n, m = complex_.cartan, complex_.n, complex_.m
     common: dict[int, Vec] = {}
     for node in corr.nodes.values():
         for i in node.facet:
             w = node.table.weights[i - 1]
             if i in common:
                 if common[i] is not w:
-                    return _report("lemmas", cartan, c, started, {
-                        "lemma": "column constant on facets containing it",
-                        "facet": node.facet, "position": i,
-                        "expected": common[i], "actual": w})
+                    return {"lemma": "column constant on facets containing it",
+                            "facet": node.facet, "position": i,
+                            "expected": common[i], "actual": w}
             else:
                 common[i] = w
     coroots, images = coroot_of_root(cartan), complex_.tables.weight_images
@@ -436,10 +443,9 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
             k = _first_upward(old, new, i, j, images[beta], coroots[beta],
                               lam_negative[beta])
             if k:
-                return _report("lemmas", cartan, c, started, {
-                    "lemma": "increasing flips shift weights down",
-                    "facet": node.facet, "flip": (i, j), "position": k,
-                    "difference": tuple(a - b for a, b in zip(old[k - 1], new[k - 1]))})
+                return {"lemma": "increasing flips shift weights down",
+                        "facet": node.facet, "flip": (i, j), "position": k,
+                        "difference": tuple(a - b for a, b in zip(old[k - 1], new[k - 1]))}
     g_table = corr.nodes[greedy_facet(complex_)].table
     ag_table = corr.nodes[antigreedy_facet(complex_)].table
     for k in range(n + 1, m + 1):
@@ -447,10 +453,9 @@ def check_lemmas(cartan: CartanMatrix, c: Word) -> Report:
         actual = tuple(a - b for a, b in zip(g_table.weights[k - 1],
                                              ag_table.weights[k - 1]))
         if actual != expected:
-            return _report("lemmas", cartan, c, started, {
-                "lemma": "greedy minus antigreedy equals the column root",
-                "position": k, "expected": expected, "actual": actual})
-    return _report("lemmas", cartan, c, started, None)
+            return {"lemma": "greedy minus antigreedy equals the column root",
+                    "position": k, "expected": expected, "actual": actual}
+    return None
 
 
 def _first_upward(old: tuple, new: tuple, i: int, j: int, images: dict,
@@ -478,71 +483,64 @@ def _first_upward(old: tuple, new: tuple, i: int, j: int, images: dict,
     return 0
 
 
-def check_newton_conjecture(cartan: CartanMatrix, c: Word) -> Report:
+@_check("newton")
+def check_newton_conjecture(corr: Correspondence) -> dict | None:
     """Newton polytope of each F-polynomial equals the hull of its weight
     column shifted to start at the antigreedy facet, in root coordinates."""
-    started = time.monotonic()
-    corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
     for k in range(complex_.n + 1, complex_.m + 1):
         beta = complex_.pos_root[k - 1]
         newton = corr.newton_polytopes[beta]
         column = corr.column_hulls[beta]
         if newton != column:
-            return _report("newton", cartan, c, started, {
-                "root": beta, "position": k,
-                "newton_vertices": newton.vertices,
-                "column_vertices": column.vertices})
-    return _report("newton", cartan, c, started, None)
+            return {"root": beta, "position": k,
+                    "newton_vertices": newton.vertices,
+                    "column_vertices": column.vertices}
+    return None
 
 
-def check_lattice_points(cartan: CartanMatrix, c: Word) -> Report:
+@_check("lattice")
+def check_lattice_points(corr: Correspondence) -> dict | None:
     """The monomials of each F-polynomial are exactly the lattice points of
     its Newton polytope."""
-    started = time.monotonic()
-    corr = build_correspondence(cartan, c)
     complex_ = corr.complex_
     for k in range(complex_.n + 1, complex_.m + 1):
         beta = complex_.pos_root[k - 1]
         support = set(corr.f_polynomials[beta].support())
         points = set(corr.newton_polytopes[beta].lattice_points())
         if support != points:
-            return _report("lattice", cartan, c, started, {
-                "root": beta, "position": k,
-                "monomials_missing": sorted(points - support),
-                "monomials_extra": sorted(support - points)})
-    return _report("lattice", cartan, c, started, None)
+            return {"root": beta, "position": k,
+                    "monomials_missing": sorted(points - support),
+                    "monomials_extra": sorted(support - points)}
+    return None
 
 
-def check_minkowski_brick(cartan: CartanMatrix, c: Word) -> Report:
+@_check("minkowski")
+def check_minkowski_brick(corr: Correspondence) -> dict | None:
     """The Minkowski sum of all Newton polytopes equals the brick polytope
     translated by the negated antigreedy brick vector.
 
-    Gated on the Newton check, since the statement presumes it.
+    Gated on the Newton check, since the statement presumes it: its body
+    runs first on the same walk.
     """
-    started = time.monotonic()
-    gate = check_newton_conjecture(cartan, c)
-    if not gate.passed:
-        payload = {"gated_on": "newton"}
-        payload.update(gate.counterexample or {})
-        return _report("minkowski", cartan, c, started, payload)
-    corr = build_correspondence(cartan, c)
+    gate = _BODIES["newton"](corr)
+    if gate is not None:
+        return {"gated_on": "newton", **gate}
     complex_ = corr.complex_
     total = minkowski_sum([corr.newton_polytopes[beta]
                            for beta in sorted(corr.newton_polytopes)])
     in_weight = LatticePolytope(
-        [root_to_weight_coords(cartan, v) for v in total.vertices])
+        [root_to_weight_coords(complex_.cartan, v) for v in total.vertices])
     bricks = LatticePolytope([brick_vector(complex_, node.facet, node.table)
                               for node in corr.nodes.values()])
     shift = equal_up_to_translation(in_weight, bricks)
     ag = brick_vector(complex_, antigreedy_facet(complex_),
                       corr.nodes[antigreedy_facet(complex_)].table)
     if shift != ag:
-        return _report("minkowski", cartan, c, started, {
-            "expected_shift": ag, "actual_shift": shift,
-            "minkowski_vertices": in_weight.vertices,
-            "brick_vertices": bricks.vertices})
-    return _report("minkowski", cartan, c, started, None)
+        return {"expected_shift": ag, "actual_shift": shift,
+                "minkowski_vertices": in_weight.vertices,
+                "brick_vertices": bricks.vertices}
+    return None
 
 
 def _weight_orbit(n: int, q: int) -> set:
@@ -561,15 +559,13 @@ def _dominates(cartan: CartanMatrix, hi: Vec, lo: Vec) -> bool:
     return all(x >= 0 for x in diff)
 
 
-def check_typea_models(n: int, c: Word) -> Report:
+@_check("typea")
+def _check_typea(corr: Correspondence) -> dict | None:
     """All three F-polynomial models agree in type A, and every weight
     column realizes the full orbit interval between its greedy and
     antigreedy values."""
-    started = time.monotonic()
-    cartan = cartan_of_type("A", n)
-    word = tuple(c)
-    corr = build_correspondence(cartan, word)
     complex_ = corr.complex_
+    cartan, n, word = complex_.cartan, complex_.n, complex_.c
     tri = triangulation_of_coxeter(word)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -578,11 +574,10 @@ def check_typea_models(n: int, c: Word) -> Report:
             from_tpaths = f_poly_via_tpaths(tri, i, j)
             from_prefixes = f_poly_via_prefixes(word, i, j)
             if not (from_mutation == from_tpaths == from_prefixes):
-                return _report("typea", cartan, word, started, {
-                    "root": beta, "interval": (i, j),
-                    "mutation": from_mutation.terms,
-                    "tpaths": from_tpaths.terms,
-                    "prefixes": from_prefixes.terms})
+                return {"root": beta, "interval": (i, j),
+                        "mutation": from_mutation.terms,
+                        "tpaths": from_tpaths.terms,
+                        "prefixes": from_prefixes.terms}
     g_table = corr.nodes[greedy_facet(complex_)].table
     ag_table = corr.nodes[antigreedy_facet(complex_)].table
     for k in range(1, complex_.m + 1):
@@ -591,29 +586,23 @@ def check_typea_models(n: int, c: Word) -> Report:
                     if _dominates(cartan, g_table.weights[k - 1], w)
                     and _dominates(cartan, w, ag_table.weights[k - 1])}
         if realized != expected:
-            return _report("typea", cartan, word, started, {
-                "position": k,
-                "realized": sorted(realized),
-                "interval": sorted(expected)})
-    return _report("typea", cartan, word, started, None)
+            return {"position": k,
+                    "realized": sorted(realized),
+                    "interval": sorted(expected)}
+    return None
 
 
-_CHECKS = (
-    ("c-vectors", check_c_vectors),
-    ("g-vectors", check_g_vectors),
-    ("exchange", check_exchange_matrix),
-    ("lemmas", check_lemmas),
-    ("newton", check_newton_conjecture),
-    ("lattice", check_lattice_points),
-    ("minkowski", check_minkowski_brick),
-    ("typea", lambda cartan, c: check_typea_models(cartan.n, c)),
-)
+def check_typea_models(n: int, c: Word) -> Report:
+    """The `typea` check on type A_n: all three F-polynomial models agree,
+    and every weight column realizes the full orbit interval between its
+    greedy and antigreedy values."""
+    return _check_typea(cartan_of_type("A", n), c)
 
 
 def check_names(cartan: CartanMatrix) -> tuple[str, ...]:
     """The checks that apply to `cartan`: all of them, typea in type A only."""
-    type_a = type_label(cartan).startswith("A")
-    return tuple(name for name, _ in _CHECKS if type_a or name != "typea")
+    type_a = bourbaki_family(cartan) == "A"
+    return tuple(name for name in _BODIES if type_a or name != "typea")
 
 
 def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
@@ -634,5 +623,4 @@ def run_checks(cartan: CartanMatrix, c: Word, names=None, jobs: int = 1
     for name in selected:
         if name not in available:
             raise ValueError(f"unknown check {name!r}; {choices}")
-    table = dict(_CHECKS)
-    return tuple(table[name](cartan, tuple(c)) for name in selected)
+    return tuple(_run(name, cartan, c) for name in selected)

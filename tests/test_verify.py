@@ -1,6 +1,7 @@
 """Cross-checks between the facet walk and the mutation walk."""
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbrick import cluster, polytope, subword, verify
-from clusterbrick.errors import ClusterBrickError, InvariantViolation
+from clusterbrick.errors import (ClusterBrickError, InexactDivision,
+                                 InvariantViolation)
 from clusterbrick.roots import (CartanMatrix, cartan_of_type, positive_roots,
                                 w_catalan)
 from clusterbrick.coxeter import coxeter_words
@@ -144,32 +146,52 @@ def test_walk_consumers_catch_table_drift(monkeypatch):
         build_correspondence.cache_clear()
 
 
+def _mark_mutations(monkeypatch):
+    """Mark the walk's calls of `mutate`: the returned list is non-empty
+    while one runs, so a `quotient` call seen with it empty is the first
+    sighting of a non-tree edge."""
+    mutating = []
+    mutate = verify.mutate
+
+    def marked(seed, i):
+        mutating.append(True)
+        try:
+            return mutate(seed, i)
+        finally:
+            mutating.pop()
+
+    monkeypatch.setattr(verify, "mutate", marked)
+    return mutating
+
+
 def test_correspondence_catches_a_wrong_exchange_binomial(monkeypatch):
-    """Edges into known facets are checked by multiplying out the exchange
-    relation, and mutations by a product check or an exact division; a
-    binomial off by one monomial, in either place only, must not pass."""
-    binomial = cluster.exchange_binomial
+    """The first sighting of every edge is certified by `quotient`: a tree
+    edge inside `mutate`, by a product check or an exact division, and a
+    non-tree edge outside it, against the variable its far facet already
+    holds.  A binomial off by one monomial, in every `quotient` call or
+    only in those made outside `mutate`, must not pass."""
+    binomial, quotient = cluster.exchange_binomial, ExchangeMemo.quotient
     inside = []
 
     def corrupted(seed, i):
         out = binomial(seed, i)
-        if inside:
+        if inside and inside[-1]:
             out = out + MPoly.monomial(2 * seed.n, (0,) * (2 * seed.n))
         return out
 
-    for where in ("certify", "quotient"):
-        method = getattr(ExchangeMemo, where)
-
-        def method_corrupted(memo, *args, _method=method):
-            inside.append(True)
-            try:
-                return _method(memo, *args)
-            finally:
-                inside.pop()
-
+    for outside_only in (False, True):
         with monkeypatch.context() as patch:
+            mutating = _mark_mutations(patch)
+
+            def quotient_corrupted(memo, seed, i, _outside_only=outside_only):
+                inside.append(not (_outside_only and mutating))
+                try:
+                    return quotient(memo, seed, i)
+                finally:
+                    inside.pop()
+
             patch.setattr(cluster, "exchange_binomial", corrupted)
-            patch.setattr(ExchangeMemo, where, method_corrupted)
+            patch.setattr(ExchangeMemo, "quotient", quotient_corrupted)
             for cartan, c in [(A2, (1, 2)), (B2, (1, 2))]:
                 build_correspondence.cache_clear()
                 try:
@@ -177,9 +199,39 @@ def test_correspondence_catches_a_wrong_exchange_binomial(monkeypatch):
                         build_correspondence(cartan, c)
                 finally:
                     build_correspondence.cache_clear()
-                if where == "certify":
+                if outside_only:
                     assert isinstance(caught.value, InvariantViolation)
                     assert "different clusters" in str(caught.value)
+
+
+@pytest.mark.parametrize("outcome", ["another variable", "inexact division"])
+def test_a_non_tree_edge_must_give_the_known_variable(monkeypatch, outcome):
+    """On the first sighting of a non-tree edge, a quotient other than the
+    variable the far facet holds, or a failed division, means two paths
+    give different clusters; the division error is kept as the cause."""
+    quotient = ExchangeMemo.quotient
+    mutating = _mark_mutations(monkeypatch)
+
+    def wrong(memo, seed, i):
+        if mutating:
+            return quotient(memo, seed, i)
+        if outcome == "inexact division":
+            raise InexactDivision("no exact quotient")
+        return seed.variables[i - 1]
+
+    monkeypatch.setattr(ExchangeMemo, "quotient", wrong)
+    for cartan, c in [(A2, (1, 2)), (A3, (1, 2, 3))]:
+        build_correspondence.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation,
+                               match="two paths give different clusters") as caught:
+                build_correspondence(cartan, c)
+        finally:
+            build_correspondence.cache_clear()
+        if outcome == "inexact division":
+            assert isinstance(caught.value.__cause__, InexactDivision)
+        else:
+            assert caught.value.__cause__ is None
 
 
 class _FirstFiledOnly(dict):
@@ -232,14 +284,24 @@ def _count_calls(monkeypatch, owner, names, counts=None):
 
 def test_each_flip_edge_is_certified_once(monkeypatch):
     """A3 has 14 facets and 21 flip edges, 42 directed sightings in all:
-    13 tree edges mutate, the 8 non-tree edges get one memo certificate
-    each, and the 21 second sightings (13 reverses of tree edges, 8 far
-    ends of non-tree edges) are one lookup each.  Its 15 exchange pairs
-    build one binomial each, and only its 6 new variables are divided
-    out; every other pair is certified by a product check."""
+    the first sighting of each edge is one `quotient` call, 13 of them
+    inside the mutations of tree edges and 8 for non-tree edges, and the
+    21 second sightings (13 reverses of tree edges, 8 far ends of non-tree
+    edges) are one lookup each.  Its 15 exchange pairs build one binomial
+    each, and only its 6 new variables are divided out; every other pair
+    is certified by a product check."""
+    mutating = _mark_mutations(monkeypatch)
     counts = _count_calls(monkeypatch, verify, ("mutate",))
-    _count_calls(monkeypatch, ExchangeMemo, ("certify", "is_partner"), counts)
+    _count_calls(monkeypatch, ExchangeMemo, ("quotient", "is_partner"), counts)
     _count_calls(monkeypatch, cluster, ("exchange_binomial", "exact_div"), counts)
+    outside = []
+    quotient = ExchangeMemo.quotient
+
+    def noting(memo, seed, i):
+        outside.append(not mutating)
+        return quotient(memo, seed, i)
+
+    monkeypatch.setattr(ExchangeMemo, "quotient", noting)
     build_correspondence.cache_clear()
     try:
         corr = build_correspondence(A3, (1, 2, 3))
@@ -247,10 +309,11 @@ def test_each_flip_edge_is_certified_once(monkeypatch):
         build_correspondence.cache_clear()
     assert len(corr.nodes) == 14
     assert counts["mutate"] == 13
-    assert counts["certify"] == 8
+    assert counts["quotient"] == len(outside) == 13 + 8
+    assert sum(outside) == 8
     assert counts["is_partner"] == 13 + 8
     assert sum(counts[name] for name in (
-        "mutate", "certify", "is_partner")) == 14 * 3
+        "quotient", "is_partner")) == 14 * 3
     assert counts["exact_div"] == len(positive_roots(A3)) == 6
     assert counts["exchange_binomial"] == 15
 
@@ -298,22 +361,29 @@ def test_each_exchange_pair_is_certified_once(monkeypatch, family, rank):
 
 
 def test_product_check_needs_the_partner_interned_in_the_walk():
-    """The partner passes only as the walk's own object: a correct but
-    foreign copy raises on a memo miss (it cannot be recorded) and fails on
-    a hit (it is not the certified partner).  A wrong variable fails the
-    product check and is not recorded."""
+    """`quotient` files only the walk's own objects: a miss files the
+    interned quotient under the exchange key and the old variable under
+    the reverse key, a second call returns the identical object, and an
+    equal copy made outside the walk is not that object.  A wrong
+    candidate from the d-vector file fails the product check and is not
+    filed."""
     memo = ExchangeMemo()
+    memo._by_low = _FirstFiledOnly()     # every lookup answers x1
     seed = memo.attach(initial_seed(A2, (1, 2)))
-    assert not memo.certify(seed, 1, seed.variables[1])
+    old = seed.variables[0]
     assert not memo.partners
-    partner = exact_div(exchange_binomial(seed, 1), seed.variables[0])
-    with pytest.raises(InvariantViolation, match="not interned"):
-        memo.certify(seed, 1, partner)
-    memo.intern(partner)
-    assert memo.certify(seed, 1, partner)
-    assert memo.partners[memo.exchange_key(seed, 1)] is partner
-    foreign = exact_div(exchange_binomial(seed, 1), seed.variables[0])
-    assert not memo.certify(seed, 1, foreign)
+    partner = memo.quotient(seed, 1)
+    assert partner is not old and memo.intern(partner) is partner
+    key = memo.exchange_key(seed, 1)
+    column, c, _ = key
+    reverse = (tuple((k, -b) for k, b in column), tuple(-a for a in c),
+               memo.index(partner))
+    assert memo.partners == {key: partner, reverse: old}
+    assert memo.partners[key] is partner and memo.partners[reverse] is old
+    assert memo.quotient(seed, 1) is partner
+    foreign = exact_div(exchange_binomial(seed, 1), old)
+    assert foreign == partner
+    assert memo.quotient(seed, 1) is not foreign
 
 
 def test_a_flip_back_is_one_lookup_of_the_reverse_key():
@@ -448,6 +518,50 @@ def test_run_checks_builds_one_walk(monkeypatch):
         assert [r.name for r in reports] == list(check_names(cartan))
         assert all(r.passed for r in reports), reports
         assert counts["walk_flips"] == 1
+
+
+def test_minkowski_is_gated_on_newton_on_one_walk(monkeypatch):
+    """With every weight-column hull shifted off its Newton polytope,
+    `newton` fails, and `minkowski` fails on its gate with newton's own
+    counterexample, from the one walk that both read."""
+    hulls = verify.Correspondence.column_hulls.func
+
+    def shifted(corr):
+        return {beta: polytope.LatticePolytope(
+                    [tuple(x + 1 for x in v) for v in hull.vertices])
+                for beta, hull in hulls(corr).items()}
+
+    monkeypatch.setattr(verify.Correspondence, "column_hulls", property(shifted))
+    counts = _count_calls(monkeypatch, verify, ("walk_flips",))
+    build_correspondence.cache_clear()
+    try:
+        minkowski = verify.check_minkowski_brick(A3, (1, 2, 3))
+        assert counts["walk_flips"] == 1
+        newton = check_newton_conjecture(A3, (1, 2, 3))
+    finally:
+        build_correspondence.cache_clear()
+    assert counts["walk_flips"] == 1
+    assert not newton.passed and not minkowski.passed
+    assert (minkowski.name, minkowski.label, minkowski.coxeter) == \
+        ("minkowski", "A3", (1, 2, 3))
+    assert set(newton.counterexample) == {
+        "root", "position", "newton_vertices", "column_vertices"}
+    assert minkowski.counterexample == {"gated_on": "newton",
+                                        **newton.counterexample}
+
+
+def test_public_checks_keep_their_signatures():
+    """Each check runs a body of the shared walk through one frame, but
+    `inspect` and `help()` still show the public signature and docstring."""
+    checks = [verify.check_c_vectors, verify.check_g_vectors,
+              verify.check_exchange_matrix, verify.check_lemmas,
+              verify.check_newton_conjecture, verify.check_lattice_points,
+              verify.check_minkowski_brick]
+    for check in checks + [check_typea_models]:
+        params = list(inspect.signature(check).parameters)
+        expected = ["n", "c"] if check is check_typea_models else ["cartan", "c"]
+        assert params == expected, check.__name__
+        assert check.__name__.startswith("check_") and check.__doc__
 
 
 def test_a_list_word_is_read_as_a_tuple():
