@@ -44,14 +44,6 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def root_string(v) -> str:
     """Human form of a root-coordinate vector, such as "α1+2α2-α3"."""
     parts = []
@@ -92,7 +84,11 @@ def _parse_cartan(args) -> CartanMatrix:
         if args.type is not None:
             raise ValueError("give either --type or --cartan, not both")
         with open(args.cartan, encoding="utf-8") as handle:
-            cartan = CartanMatrix(json.load(handle))
+            try:
+                cartan = CartanMatrix(json.load(handle))
+            except RecursionError:
+                raise ValueError(
+                    f"--cartan file {args.cartan} is nested too deeply") from None
         if family := bourbaki_family(cartan):
             _refuse_too_many_facets(family, cartan.n)
         return cartan
@@ -128,45 +124,71 @@ def _parse_coxeter(args, n: int):
     return word
 
 
-def _cmd_facets(args) -> int:
-    cartan = _parse_cartan(args)
-    c = _parse_coxeter(args, cartan.n)
+def _parse_root(text: str, n: int) -> tuple[int, int]:
+    """(i, j) of --root "i,j", naming the root αi+...+αj of type A<n>."""
+    try:
+        i, j = (_natural(x, "--root") for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--root must be i,j with 1 <= i <= j <= {n}")
+    if not 1 <= i <= j <= n:
+        raise ValueError(f"--root must satisfy 1 <= i <= j <= {n}")
+    return i, j
+
+
+def _run(args) -> int:
+    """The frame of every subcommand.  Parse and validate all input, run
+    the command's body, and only then print its lines under the header
+    (verify prints none) and write --emit-json with the type and word
+    added to the body's payload.  1 when a verify report failed, else 0."""
+    if args.command == "tpaths":
+        family, n = _parse_type(args)
+        if family != "A":
+            raise ValueError("tpaths needs type A")
+        cartan, label = n, f"A{n}"      # the T-path model reads only the rank
+    else:
+        cartan = _parse_cartan(args)
+        n, label = cartan.n, type_label(cartan)
+    c = _parse_coxeter(args, n)
+    inputs = {}
+    if "root" in args:
+        inputs["root"] = _parse_root(args.root, n)
+    if "checks" in args and args.checks is not None and args.checks.strip() != "all":
+        inputs["names"] = tuple(x.strip() for x in args.checks.split(",") if x.strip())
+    lines, payload = args.body(cartan, c, **inputs)
+    if args.command != "verify":
+        print(f"type {label}, coxeter {','.join(map(str, c))}")
+    for line in lines:
+        print(line)
+    if args.emit_json is not None:
+        with open(args.emit_json, "w", encoding="utf-8") as handle:
+            json.dump(_jsonable({"type": label, "coxeter": c, **payload}),
+                      handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return 1 if any(not r["passed"] for r in payload.get("reports", ())) else 0
+
+
+def _cmd_facets(cartan, c):
     complex_ = build_complex(cartan, c)
     facets = sorted(enumerate_facets_with_tables(complex_))
-    print(f"type {type_label(cartan)}, coxeter {','.join(map(str, c))}")
-    print(f"word {' '.join(map(str, complex_.word))}")
-    print(f"{len(facets)} facets")
-    for facet in facets:
-        print(" ".join(f"{i:3d}" for i in facet))
-    _emit(args.emit_json, {
-        "type": type_label(cartan), "coxeter": c, "word": complex_.word,
-        "facets": facets})
-    return 0
+    lines = [f"word {' '.join(map(str, complex_.word))}", f"{len(facets)} facets"]
+    lines += [" ".join(f"{i:3d}" for i in facet) for facet in facets]
+    return lines, {"word": complex_.word, "facets": facets}
 
 
-def _cmd_seeds(args) -> int:
-    cartan = _parse_cartan(args)
-    c = _parse_coxeter(args, cartan.n)
+def _cmd_seeds(cartan, c):
     corr = build_correspondence(cartan, c)
     n = corr.complex_.n
-    facets = sorted(corr.nodes)
-    print(f"type {type_label(cartan)}, coxeter {','.join(map(str, c))}")
-    print(f"{len(facets)} seeds")
-    rows = []
-    for facet in facets:
-        node = corr.nodes[facet]
-        variables = [format_laurent(v, n) for v in node.seed.variables]
-        print(f"facet {facet}")
-        for s, text in enumerate(variables, start=1):
-            print(f"  slot {s}: {text}")
-        rows.append({"facet": facet, "matrix": node.seed.matrix,
-                     "variables": variables})
-    _emit(args.emit_json, {
-        "type": type_label(cartan), "coxeter": c, "seeds": rows})
-    return 0
+    lines, rows = [f"{len(corr.nodes)} seeds"], []
+    for facet in sorted(corr.nodes):
+        seed = corr.nodes[facet].seed
+        variables = [format_laurent(v, n) for v in seed.variables]
+        lines.append(f"facet {facet}")
+        lines += [f"  slot {s}: {text}" for s, text in enumerate(variables, start=1)]
+        rows.append({"facet": facet, "matrix": seed.matrix, "variables": variables})
+    return lines, {"seeds": rows}
 
 
-def _variable_summaries(cartan: CartanMatrix, c):
+def _cmd_fpoly(cartan, c):
     """One record per positive root: F, g, a representative c-vector from
     the first enumerated seed holding the variable, and d."""
     corr = build_correspondence(cartan, c)
@@ -175,120 +197,74 @@ def _variable_summaries(cartan: CartanMatrix, c):
     first_c = {}
     for facet, node in corr.nodes.items():
         for i in facet:
-            if i <= n:
-                continue
             beta = complex_.pos_root[i - 1]
-            if beta not in first_c:
+            if i > n and beta not in first_c:
                 first_c[beta] = c_vector(node.seed, node.slot_of(i))
-    out = []
+    lines, rows = [], []
     for beta in positive_roots(cartan):
         var = corr.variables[beta]
-        out.append({
-            "root": beta, "root_name": root_string(beta),
-            "F": format_fpoly(corr.f_polynomials[beta]),
-            "g": g_vector(var, n), "c": first_c[beta],
-            "d": d_vector(var, n)})
-    return out
+        row = {"root": beta, "root_name": root_string(beta),
+               "F": format_fpoly(corr.f_polynomials[beta]),
+               "g": g_vector(var, n), "c": first_c[beta], "d": d_vector(var, n)}
+        rows.append(row)
+        lines += [f"root {beta} = {row['root_name']}", f"  F = {row['F']}",
+                  f"  g = {row['g']}   c = {row['c']} ({root_string(row['c'])})"
+                  f"   d = {row['d']}"]
+    return lines, {"variables": rows}
 
 
-def _cmd_fpoly(args) -> int:
-    cartan = _parse_cartan(args)
-    c = _parse_coxeter(args, cartan.n)
-    rows = _variable_summaries(cartan, c)
-    print(f"type {type_label(cartan)}, coxeter {','.join(map(str, c))}")
-    for row in rows:
-        print(f"root {row['root']} = {row['root_name']}")
-        print(f"  F = {row['F']}")
-        print(f"  g = {row['g']}   c = {row['c']} ({root_string(row['c'])})"
-              f"   d = {row['d']}")
-    _emit(args.emit_json, {
-        "type": type_label(cartan), "coxeter": c, "variables": rows})
-    return 0
-
-
-def _cmd_brick(args) -> int:
-    cartan = _parse_cartan(args)
-    c = _parse_coxeter(args, cartan.n)
+def _cmd_brick(cartan, c):
     complex_ = build_complex(cartan, c)
     tables = enumerate_facets_with_tables(complex_)
     bricks = {facet: brick_vector(complex_, facet, table)
               for facet, table in tables.items()}
     hull = LatticePolytope(bricks.values())
     ag = bricks[antigreedy_facet(complex_)]
-    print(f"type {type_label(cartan)}, coxeter {','.join(map(str, c))}")
-    print(f"{len(bricks)} brick vectors, {len(hull.vertices)} vertices")
-    for facet in sorted(bricks):
-        marker = " *" if bricks[facet] in hull.vertices else ""
-        print(f"facet {facet}: b = {bricks[facet]}{marker}")
-    print(f"antigreedy b = {ag}")
     shifted = [weight_diff_to_root_coords(cartan, v, ag)
                for v in hull.vertices]
-    print("vertices shifted by -b(antigreedy), root coordinates:")
-    for v in shifted:
-        print(f"  {v} = {root_string(v)}")
-    _emit(args.emit_json, {
-        "type": type_label(cartan), "coxeter": c,
+    lines = [f"{len(bricks)} brick vectors, {len(hull.vertices)} vertices"]
+    lines += [f"facet {f}: b = {b}{' *' if b in hull.vertices else ''}"
+              for f, b in sorted(bricks.items())]
+    lines += [f"antigreedy b = {ag}",
+              "vertices shifted by -b(antigreedy), root coordinates:"]
+    lines += [f"  {v} = {root_string(v)}" for v in shifted]
+    return lines, {
         "bricks": [{"facet": f, "b": b} for f, b in sorted(bricks.items())],
-        "vertices": list(hull.vertices),
-        "shifted_root_coords": shifted})
-    return 0
+        "vertices": list(hull.vertices), "shifted_root_coords": shifted}
 
 
-def _cmd_tpaths(args) -> int:
-    family, n = _parse_type(args)
-    if family != "A":
-        raise ValueError("tpaths needs type A")
-    c = _parse_coxeter(args, n)
-    try:
-        i, j = (_natural(x, "--root") for x in args.root.split(","))
-    except ValueError:
-        raise ValueError(f"--root must be i,j with 1 <= i <= j <= {n}")
-    if not 1 <= i <= j <= n:
-        raise ValueError(f"--root must satisfy 1 <= i <= j <= {n}")
+def _cmd_tpaths(n, c, root):
+    i, j = root
     tri = triangulation_of_coxeter(c)
     gamma = diagonal_of_root(tri, i, j)
     paths = enumerate_tpaths(tri, gamma)
-    print(f"type A{n}, coxeter {','.join(map(str, c))}, "
-          f"root α{i}..α{j}, diagonal {gamma.source}-{gamma.target}, "
-          f"crossing {gamma.crossed}")
-    print(f"{len(paths)} paths")
+    lines = [f"root α{i}..α{j}, diagonal {gamma.source}-{gamma.target}, "
+             f"crossing {gamma.crossed}", f"{len(paths)} paths"]
     rows = []
     for path in paths:
         mono = monomial_of_tpath(path, n)
         signs = "".join("+" if s > 0 else "-" for s in path.signs)
         steps = " ".join(f"{kind}:{label}" for kind, label in path.steps)
-        print(f"signs {signs}  monomial y^{mono}  steps {steps}")
+        lines.append(f"signs {signs}  monomial y^{mono}  steps {steps}")
         rows.append({"signs": path.signs, "monomial": mono,
                      "steps": [list(step) for step in path.steps]})
-    F = f_poly_via_tpaths(tri, i, j)
-    print(f"F = {format_fpoly(F)}")
-    _emit(args.emit_json, {
-        "type": f"A{n}", "coxeter": c, "root": [i, j],
-        "diagonal": [gamma.source, gamma.target],
-        "crossing": gamma.crossed, "paths": rows,
-        "F": format_fpoly(F)})
-    return 0
+    F = format_fpoly(f_poly_via_tpaths(tri, i, j))
+    lines.append(f"F = {F}")
+    return lines, {"root": [i, j], "diagonal": [gamma.source, gamma.target],
+                   "crossing": gamma.crossed, "paths": rows, "F": F}
 
 
-def _cmd_verify(args) -> int:
-    cartan = _parse_cartan(args)
-    c = _parse_coxeter(args, cartan.n)
-    if args.checks is None or args.checks.strip() == "all":
-        names = None
-    else:
-        names = tuple(x.strip() for x in args.checks.split(",") if x.strip())
+def _cmd_verify(cartan, c, names=None):
     reports = run_checks(cartan, c, names=names)
+    lines = []
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {report.name:<10} {report.label} "
-              f"c={','.join(map(str, report.coxeter))} "
-              f"({report.elapsed:.2f}s)")
+        lines.append(f"{status} {report.name:<10} {report.label} "
+                     f"c={','.join(map(str, report.coxeter))} "
+                     f"({report.elapsed:.2f}s)")
         if not report.passed:
-            print(f"  counterexample: {report.counterexample}")
-    _emit(args.emit_json, {
-        "type": type_label(cartan), "coxeter": c,
-        "reports": [dataclasses.asdict(r) for r in reports]})
-    return 0 if all(r.passed for r in reports) else 1
+            lines.append(f"  counterexample: {report.counterexample}")
+    return lines, {"reports": [dataclasses.asdict(r) for r in reports]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("tpaths", _cmd_tpaths, "enumerate type-A T-paths for one root"),
             ("verify", _cmd_verify, "run theorem and conjecture checks")):
         p = sub.add_parser(name, help=extra)
-        p.set_defaults(fn=fn)
+        p.set_defaults(body=fn)
         # the T-path model reads only the rank: tpaths needs --type A<n>
         p.add_argument("--type", required=name == "tpaths",
                        help="family plus rank, such as B3")
@@ -330,11 +306,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(args)
     except ResourceLimit as err:
         print(f"error: resource limit: {err}", file=sys.stderr)
         return 3
-    except (ClusterBrickError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (ClusterBrickError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -83,12 +83,21 @@ def _check_range(lo, hi) -> None:
             f"exponent outside the representable range [{_MIN_EXP}, {_MAX_EXP}]")
 
 
+def _require_ints(*values) -> None:
+    """TypeError naming the first value that is not an int (bools included)."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"exponent or coefficient {x!r} is not an int")
+
+
 class MPoly:
-    """Immutable sparse Laurent polynomial with integer coefficients."""
+    """Immutable sparse Laurent polynomial with int exponents and coefficients."""
 
     __slots__ = ("nvars", "_t", "_lo", "_hi")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int]):
+        for e, c in terms.items():
+            _require_ints(*e, c)
         terms = {e: c for e, c in terms.items() if c != 0}
         if any(len(e) != nvars for e in terms):
             raise DimensionMismatch(f"exponent tuple of the wrong length, expected {nvars}")
@@ -113,6 +122,7 @@ class MPoly:
     @classmethod
     def monomial(cls, nvars: int, exponents) -> "MPoly":
         e = tuple(exponents)
+        _require_ints(*e)
         if len(e) != nvars:
             raise DimensionMismatch(f"exponent tuple of length {len(e)}, expected {nvars}")
         _check_range(e, e)
@@ -286,12 +296,15 @@ class FPolynomial:
 
     The constructor enforces the normal shape of these polynomials: all
     exponents nonnegative, all coefficients positive, constant term 1, and a
-    unique maximal monomial that every other monomial divides.
+    unique maximal monomial that every other monomial divides.  Exponents
+    and coefficients must be ints.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], int]):
+        for e, c in terms.items():
+            _require_ints(*e, c)
         terms = {tuple(e): c for e, c in terms.items() if c != 0}
         for e, c in terms.items():
             if len(e) != n:

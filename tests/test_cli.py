@@ -1,15 +1,18 @@
 """Command line behavior: output, JSON emission, exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from clusterbrick import cli, polytope, roots
 from clusterbrick.cli import _jsonable, main, root_string
+from clusterbrick.errors import ResourceLimit
 from clusterbrick.roots import cartan_of_type, cartan_rows, w_catalan
-from clusterbrick.verify import run_checks
+from clusterbrick.verify import Report, run_checks
 
 
 def run(capsys, *argv):
@@ -270,8 +273,68 @@ def test_exit_code_two_on_malformed_input(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+        assert out == "", argv
     # int() rejects the superscript too, but with a message naming no flag
     assert argv[-1] == "B\u00b3" and "--type" in err
+
+
+def test_a_deeply_nested_cartan_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "facets", "--cartan", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: --cartan file {path} is nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("seeds", "--type", "A2"), "build_correspondence"),
+    (("fpoly", "--type", "A2"), "build_correspondence"),
+    (("brick", "--type", "A2"), "weight_diff_to_root_coords"),
+    (("tpaths", "--type", "A3", "--root", "1,2"), "f_poly_via_tpaths"),
+    (("verify", "--type", "A2"), "run_checks"),
+])
+def test_a_body_that_raises_prints_nothing(monkeypatch, capsys, argv, name):
+    """Output is printed only once the command's body has returned, so a
+    resource limit reached mid-run leaves no header line behind."""
+    def exhausted(*args, **kwargs):
+        raise ResourceLimit("exhausted")
+
+    monkeypatch.setattr(cli, name, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: resource limit: exhausted\n")
+
+
+def test_a_failed_report_exits_1(monkeypatch, tmp_path, capsys):
+    def failing(cartan, c, names=None):
+        return [Report("newton", "A2", c, False, {"root": [1, 0]})]
+
+    monkeypatch.setattr(cli, "run_checks", failing)
+    target = tmp_path / "verify.json"
+    code, out, err = run(capsys, "verify", "--type", "A2", "--emit-json", str(target))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["FAIL newton     A2 c=1,2 (0.00s)",
+                                "  counterexample: {'root': [1, 0]}"]
+    assert json.loads(target.read_text())["reports"][0]["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("facets", "--type", "A3", "--coxeter", "1,3,2"),
+    ("seeds", "--type", "B2"),
+    ("fpoly", "--type", "B2"),
+    ("brick", "--type", "A2"),
+    ("tpaths", "--type", "A4", "--coxeter", "3,2,1,4", "--root", "2,4"),
+    ("verify", "--type", "A2", "--checks", "c-vectors"),
+])
+def test_every_emitted_json_names_type_and_coxeter(tmp_path, capsys, argv):
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--emit-json", str(target))
+    assert code == 0
+    payload = json.loads(target.read_text())
+    coxeter = argv[argv.index("--coxeter") + 1] if "--coxeter" in argv else "1,2"
+    assert payload["type"] == argv[2]
+    assert payload["coxeter"] == [int(x) for x in coxeter.split(",")]
+    if argv[0] != "verify":
+        assert out.splitlines()[0] == f"type {argv[2]}, coxeter {coxeter}"
 
 
 def test_type_and_cartan_conflict(tmp_path, capsys):
@@ -306,6 +369,15 @@ def test_cli_import_leaves_out_thread_pools():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_declared_console_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"clusterbrick": "clusterbrick.cli:main"}
+    module, _, attr = scripts["clusterbrick"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_console_script_entry_point():

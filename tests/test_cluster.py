@@ -276,6 +276,25 @@ def test_f_polynomial_shape_validation():
     assert ok.support() == ((0, 0), (1, 0), (1, 1))
 
 
+@pytest.mark.parametrize("build, bad", [
+    (lambda: MPoly(2, {(1, 0): 0.5}), "0.5"),              # float coefficient
+    (lambda: MPoly(2, {(1, 0): 0.0}), "0.0"),              # even a zero one
+    (lambda: MPoly(2, {(1, 0): True}), "True"),
+    (lambda: MPoly(2, {(True, 0): 1}), "True"),            # bool exponent
+    (lambda: MPoly(2, {(0.5, 0): 1}), "0.5"),              # was a struct.error
+    (lambda: MPoly(2, {(2.0, 0): 1}), "2.0"),
+    (lambda: MPoly.monomial(2, (1, False)), "False"),
+    (lambda: MPoly.monomial(2, (1.0, 0)), "1.0"),
+    (lambda: FPolynomial(1, {(0,): 1, (1,): 2.5}), "2.5"),
+    (lambda: FPolynomial(1, {(0,): 1, (True,): 1}), "True"),
+    (lambda: FPolynomial(1, {(0.0,): 1}), "0.0"),
+])
+def test_polynomials_take_only_int_exponents_and_coefficients(build, bad):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == f"exponent or coefficient {bad} is not an int"
+
+
 def test_cluster_key_identifies_unordered_clusters():
     seed = initial_seed(A2, (1, 2))
     one_step = mutate(seed, 1)
