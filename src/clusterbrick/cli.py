@@ -137,9 +137,9 @@ def _parse_root(text: str, n: int) -> tuple[int, int]:
 
 def _run(args) -> int:
     """The frame of every subcommand.  Parse and validate all input, run
-    the command's body, and only then print its lines under the header
-    (verify prints none) and write --emit-json with the type and word
-    added to the body's payload.  1 when a verify report failed, else 0."""
+    the command's body, write --emit-json with the type and word added to
+    its payload, and only then print its lines under the header (verify
+    prints none), so a failed write prints nothing.  1 if a report failed."""
     if args.command == "tpaths":
         family, n = _parse_type(args)
         if family != "A":
@@ -155,15 +155,15 @@ def _run(args) -> int:
     if "checks" in args and args.checks is not None and args.checks.strip() != "all":
         inputs["names"] = tuple(x.strip() for x in args.checks.split(",") if x.strip())
     lines, payload = args.body(cartan, c, **inputs)
-    if args.command != "verify":
-        print(f"type {label}, coxeter {','.join(map(str, c))}")
-    for line in lines:
-        print(line)
     if args.emit_json is not None:
         with open(args.emit_json, "w", encoding="utf-8") as handle:
             json.dump(_jsonable({"type": label, "coxeter": c, **payload}),
                       handle, indent=2, sort_keys=True)
             handle.write("\n")
+    if args.command != "verify":
+        print(f"type {label}, coxeter {','.join(map(str, c))}")
+    for line in lines:
+        print(line)
     return 1 if any(not r["passed"] for r in payload.get("reports", ())) else 0
 
 

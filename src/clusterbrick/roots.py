@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
+from operator import mul, neg, sub
 
 from .errors import (
     InvalidCartanMatrix,
@@ -62,7 +64,7 @@ class CartanMatrix:
         for row in rows:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
-                    raise InvalidCartanMatrix(f"entry {x!r} is not an integer")
+                    raise InvalidCartanMatrix(f"entry {reprlib.repr(x)} is not an integer")
         object.__setattr__(self, "rows", rows)
         _validate_cartan(rows)
 
@@ -325,9 +327,9 @@ def coroot_of_root(cartan: CartanMatrix) -> dict[Vec, Vec]:
     """Map each root (simple-root coords) to its coroot (simple-coroot coords).
 
     Built by closing the paired orbit of (alpha_s, alpha_s-dual) under
-    simultaneous reflections, so the pairing never guesses lengths.
-    """
-    n = cartan.n
+    simultaneous reflections, so the pairing never guesses lengths; an s
+    with <beta, alpha_s-dual> = 0 fixes beta and is skipped."""
+    n, rows, cols = cartan.n, cartan.rows, tuple(zip(*cartan.rows))
     pairs = {}
     frontier = []
     for s in range(n):
@@ -336,12 +338,17 @@ def coroot_of_root(cartan: CartanMatrix) -> dict[Vec, Vec]:
         frontier.append((unit, unit))
     while frontier:
         beta, beta_co = frontier.pop()
-        for s in range(1, n + 1):
-            img = reflect_root(cartan, s, beta)
-            if img not in pairs:
-                img_co = reflect_coroot(cartan, s, beta_co)
-                pairs[img] = img_co
-                frontier.append((img, img_co))
+        for s in range(n):
+            c = sum(map(mul, rows[s], beta))
+            if c:
+                img = list(beta)
+                img[s] -= c
+                img = tuple(img)
+                if img not in pairs:
+                    img_co = list(beta_co)
+                    img_co[s] -= sum(map(mul, cols[s], beta_co))
+                    img_co = pairs[img] = tuple(img_co)
+                    frontier.append((img, img_co))
     return pairs
 
 
@@ -355,8 +362,8 @@ class _WeightImages(dict):
 
     def __missing__(self, w: Vec) -> Vec:
         w = self.pool.setdefault(w, w)
-        coef = sum(a * b for a, b in zip(w, self.beta_co))   # <w, beta_co>
-        image = tuple(a - coef * b for a, b in zip(w, self.beta_w))
+        coef = sum(map(mul, w, self.beta_co))   # <w, beta_co>
+        image = tuple(map(sub, w, [coef * b for b in self.beta_w])) if coef else w
         image = self[w] = self.pool.setdefault(image, image)
         self[image] = w
         return image
@@ -372,26 +379,33 @@ class ReflectionTables:
     `reflect[beta][x]` is s_beta(x) = x - <x, beta_co> beta.  For a weight
     w, `weight_images[beta][w]` is s_beta(w), filled as met.  As
     s_beta = s_(-beta), beta and -beta share those two entries.
+
+    Only positive beta against positive x is computed.  The rest follows
+    by symmetry: <-x, beta_co> = -<x, beta_co>, the pairings of -beta are
+    those of beta negated, and s_beta(-x) = -s_beta(x).  Where the pairing
+    is 0 the image is x itself.
     """
 
     def __init__(self, cartan: CartanMatrix):
         coroots = coroot_of_root(cartan)
         pool = self.pool = {beta: beta for beta in coroots}
-        self.negative, self.pairing, self.reflect, self.weight_images = {}, {}, {}, {}
-        for beta, beta_co in coroots.items():
-            neg = self.negative[beta] = pool[tuple(-x for x in beta)]
+        negative = self.negative = {beta: pool[tuple(map(neg, beta))] for beta in coroots}
+        self.pairing, self.reflect, self.weight_images = {}, {}, {}
+        positive, cols = positive_roots(cartan), tuple(zip(*cartan.rows))
+        minus = [negative[x] for x in positive]
+        for beta in positive:
             # <x, beta_co> = x . (A^T beta_co) for a root x
-            dual = root_to_weight_coords(transpose(cartan), beta_co)
-            pairs = self.pairing[beta] = {x: sum(a * b for a, b in zip(x, dual))
-                                          for x in coroots}
-            if neg in self.reflect:
-                self.reflect[beta] = self.reflect[neg]
-                self.weight_images[beta] = self.weight_images[neg]
-                continue
-            self.reflect[beta] = {x: pool[tuple(a - p * b for a, b in zip(x, beta))]
-                                  for x, p in pairs.items()}
-            self.weight_images[beta] = _WeightImages(
-                pool, beta_co, root_to_weight_coords(cartan, beta))
+            dual = tuple(sum(map(mul, col, coroots[beta])) for col in cols)
+            values = [sum(map(mul, x, dual)) for x in positive]
+            pairs = self.pairing[beta] = dict(zip(positive, values))
+            pairs.update(zip(minus, map(neg, values)))
+            self.pairing[negative[beta]] = {x: -p for x, p in pairs.items()}
+            images = self.reflect[beta] = self.reflect[negative[beta]] = {}
+            for x, minus_x, p in zip(positive, minus, values):
+                y = pool[tuple(map(sub, x, [p * b for b in beta]))] if p else x
+                images[x], images[minus_x] = y, negative[y]
+            self.weight_images[beta] = self.weight_images[negative[beta]] = _WeightImages(
+                pool, coroots[beta], root_to_weight_coords(cartan, beta))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,8 +11,8 @@ from clusterbrick.coxeter import Matrix, Word, det_int, restricted_prefixes
 from clusterbrick.errors import InvariantViolation, NotInRootLattice
 from clusterbrick.polytope import convex_hull_vertices
 from clusterbrick.roots import (CartanMatrix, Vec, _symmetrizer, det_adjugate, positive_roots,
-                                reflect_root, reflect_weight, transpose,
-                                weight_diff_to_root_coords)
+                                reflect_coroot, reflect_root, reflect_weight,
+                                root_to_weight_coords, transpose, weight_diff_to_root_coords)
 from clusterbrick.subword import ClusterComplex, Facet, flip, is_facet
 from clusterbrick.typea import Edge, Triangle
 
@@ -26,6 +26,44 @@ def pair(cartan: CartanMatrix, root_vec: Vec, coroot_vec: Vec) -> int:
         raise ValueError(f"vector lengths {len(root_vec)}, {len(coroot_vec)} vs rank {n}")
     return sum(coroot_vec[s] * cartan.rows[s][t] * root_vec[t]
                for s in range(n) for t in range(n))
+
+
+def coroot_of_root_by_reflections(cartan: CartanMatrix) -> dict[Vec, Vec]:
+    """The closure of the pairs (alpha_s, alpha_s-dual) under every simple
+    reflection, one checked `reflect_root` and `reflect_coroot` call per
+    pair: the reference for `coroot_of_root`."""
+    n = cartan.n
+    pairs, frontier = {}, []
+    for s in range(n):
+        unit = tuple(int(t == s) for t in range(n))
+        pairs[unit] = unit
+        frontier.append((unit, unit))
+    while frontier:
+        beta, beta_co = frontier.pop()
+        for s in range(1, n + 1):
+            img = reflect_root(cartan, s, beta)
+            if img not in pairs:
+                pairs[img] = reflect_coroot(cartan, s, beta_co)
+                frontier.append((img, pairs[img]))
+    return pairs
+
+
+def reflection_tables_by_formula(cartan: CartanMatrix) -> tuple[dict, dict, dict, dict]:
+    """`pool`, `negative`, `pairing` and `reflect` of `ReflectionTables`,
+    with every pairing and image computed from its formula, for every root
+    beta against every root x; -beta shares the images of beta.  The
+    reference for the tables, which compute a quarter of the pairings and
+    half of the images and derive the rest by symmetry."""
+    coroots = coroot_of_root_by_reflections(cartan)
+    pool = {beta: beta for beta in coroots}
+    negative, pairing, reflect = {}, {}, {}
+    for beta, beta_co in coroots.items():
+        minus = negative[beta] = pool[tuple(-x for x in beta)]
+        dual = root_to_weight_coords(transpose(cartan), beta_co)
+        pairs = pairing[beta] = {x: sum(a * b for a, b in zip(x, dual)) for x in coroots}
+        reflect[beta] = reflect[minus] if minus in reflect else {
+            x: pool[tuple(a - p * b for a, b in zip(x, beta))] for x, p in pairs.items()}
+    return pool, negative, pairing, reflect
 
 
 def positive_definite_by_minors(rows) -> bool:

@@ -286,6 +286,31 @@ def test_a_deeply_nested_cartan_file_exits_2(tmp_path, capsys):
     assert err == f"error: --cartan file {path} is nested too deeply\n"
 
 
+def test_a_cartan_file_of_nested_brackets_gets_a_short_error_line(tmp_path, capsys):
+    """The error line quotes the offending entry through a bounded repr,
+    not the whole nested list."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 900 + "]" * 900)
+    code, out, err = run(capsys, "facets", "--cartan", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: entry ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("where", [
+    pytest.param("full", marks=pytest.mark.skipif(
+        not Path("/dev/full").exists(), reason="needs /dev/full")),
+    "missing directory",
+])
+def test_an_unwritable_emit_json_target_prints_nothing(tmp_path, capsys, where):
+    """--emit-json is written before any line is printed: /dev/full fails
+    only on write, a path in a missing directory on open."""
+    target = "/dev/full" if where == "full" else str(tmp_path / "missing" / "out.json")
+    code, out, err = run(capsys, "facets", "--type", "A3", "--emit-json", target)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, name", [
     (("seeds", "--type", "A2"), "build_correspondence"),
     (("fpoly", "--type", "A2"), "build_correspondence"),

@@ -276,6 +276,13 @@ def test_f_polynomial_shape_validation():
     assert ok.support() == ((0, 0), (1, 0), (1, 1))
 
 
+def test_f_polynomial_rejects_a_negative_exponent():
+    """1 + y^-1 has constant term 1, and its top exponent, 0, is one of its
+    monomials: only the sign test refuses it."""
+    with pytest.raises(InvariantViolation, match=r"negative exponent \(-1,\)"):
+        FPolynomial(1, {(0,): 1, (-1,): 1})
+
+
 @pytest.mark.parametrize("build, bad", [
     (lambda: MPoly(2, {(1, 0): 0.5}), "0.5"),              # float coefficient
     (lambda: MPoly(2, {(1, 0): 0.0}), "0.0"),              # even a zero one

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbrick import verify
+from clusterbrick.cluster import g_vector
 from clusterbrick.coxeter import c_sorting_word, coxeter_words, longest_element
 from clusterbrick.roots import cartan_of_type, reflection_tables, root_to_weight_coords
 from clusterbrick.subword import (RootTable, antigreedy_facet, build_complex,
                                   enumerate_facets, flip, greedy_facet, is_facet)
-from clusterbrick.verify import build_correspondence, check_c_vectors, check_lemmas
+from clusterbrick.verify import (build_correspondence, check_c_vectors, check_exchange_matrix,
+                                  check_g_vectors, check_lemmas)
 from oracles import (antigreedy_by_matrices, c_sorting_word_by_inverse,
                      first_facet_not_unimodular, first_weight_moving_up,
                      is_facet_by_matrices)
@@ -113,3 +115,50 @@ def test_lemmas_reports_a_weight_moving_up(monkeypatch):
     assert report.counterexample["lemma"] == "increasing flips shift weights down"
     assert set(report.counterexample) == {"lemma", "facet", "flip", "position",
                                           "difference"}
+
+
+def _last_node(corr):
+    """The node of the last facet in sorted order, which is not the greedy one."""
+    facet = max(corr.nodes)
+    return facet, corr.nodes[facet]
+
+
+def test_exchange_reports_a_corrupted_exchange_entry(monkeypatch):
+    """One off-diagonal entry of one seed's principal part raised by one:
+    the rest of that seed, its table and every other node still agree."""
+    c = (1, 2, 3)
+    corr = build_correspondence(A3, c)
+    assert check_exchange_matrix(A3, c).passed
+    facet, node = _last_node(corr)
+    s, t = node.slots[0], node.slots[1]
+    matrix = [list(row) for row in node.seed.matrix]
+    entry = matrix[s - 1][t - 1]
+    matrix[s - 1][t - 1] += 1
+    seed = dataclasses.replace(node.seed, matrix=tuple(map(tuple, matrix)))
+    _patched(monkeypatch, corr, facet, dataclasses.replace(node, seed=seed))
+    report = check_exchange_matrix(A3, c)
+    assert not report.passed
+    assert report.counterexample == {"facet": facet, "position": (facet[0], facet[1]),
+                                     "expected": entry, "actual": entry + 1}
+
+
+def test_g_vectors_reports_a_swapped_variable(monkeypatch):
+    """One seed's variable at the slot of its first position replaced by the
+    variable at the slot of its second: the g-vector at the first position
+    no longer equals its weight."""
+    c = (1, 2, 3)
+    corr = build_correspondence(A3, c)
+    assert check_g_vectors(A3, c).passed
+    facet, node = _last_node(corr)
+    s, t = node.slots[0], node.slots[1]
+    variables = list(node.seed.variables)
+    variables[s - 1] = node.seed.variables[t - 1]
+    seed = dataclasses.replace(node.seed, variables=tuple(variables))
+    _patched(monkeypatch, corr, facet, dataclasses.replace(node, seed=seed))
+    report = check_g_vectors(A3, c)
+    assert not report.passed
+    assert report.counterexample == {
+        "facet": facet, "position": facet[0],
+        "expected": node.table.weights[facet[0] - 1],
+        "actual": g_vector(node.seed.variables[t - 1], A3.n)}
+    assert report.counterexample["actual"] == node.table.weights[facet[1] - 1]

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,18 @@ from clusterbrick.roots import (ReflectionTables, cartan_of_type, coroot_of_root
 from clusterbrick.subword import (build_complex, enumerate_facets,
                                   enumerate_facets_with_tables, flip,
                                   root_table, update_after_flip)
-from oracles import pair
+from oracles import coroot_of_root_by_reflections, pair, reflection_tables_by_formula
 
 ROOT = Path(__file__).resolve().parents[1]
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
          ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)]
+ROOT_TYPES = TYPES + [("B", 5), ("C", 4), ("D", 5), ("E", 7), ("E", 8)]
+EVERY_TYPE_TO_RANK_8 = [(family, rank) for family, ranks in (
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(4, 9)),
+    ("E", range(6, 9)), ("F", (4,)), ("G", (2,))) for rank in ranks]
 
 
-@pytest.mark.parametrize("family,rank", TYPES)
+@pytest.mark.parametrize("family,rank", ROOT_TYPES)
 def test_root_tables_match_the_formula(family, rank):
     cartan = cartan_of_type(family, rank)
     coroot = coroot_of_root(cartan)
@@ -38,6 +43,38 @@ def test_root_tables_match_the_formula(family, rank):
             assert tables.pairing[beta][x] == p
             assert tables.reflect[beta][x] == image
             assert tables.pool[image] is tables.reflect[beta][x]
+
+
+@pytest.mark.parametrize("family,rank", EVERY_TYPE_TO_RANK_8)
+def test_tables_and_coroots_equal_their_oracles(family, rank):
+    """Key by key against the constructions that compute every entry, and
+    every root a table hands out, as key or value, is the pool's object."""
+    cartan = cartan_of_type(family, rank)
+    coroot = coroot_of_root(cartan)
+    assert coroot == coroot_of_root_by_reflections(cartan)
+    tables = ReflectionTables(cartan)       # fresh: its pool holds roots only
+    assert ((tables.pool, tables.negative, tables.pairing, tables.reflect)
+            == reflection_tables_by_formula(cartan))
+    pool = tables.pool
+    assert set(tables.weight_images) == set(coroot)
+    for beta in coroot:
+        minus = tables.negative[beta]
+        assert pool[beta] is beta and pool[minus] is minus
+        assert tables.reflect[beta] is tables.reflect[minus]
+        assert tables.weight_images[beta] is tables.weight_images[minus]
+        assert all(pool[x] is x for x in tables.pairing[beta])
+        assert all(pool[x] is x and pool[y] is y for x, y in tables.reflect[beta].items())
+    # the fundamental weights, fixed by some reflections and moved by others,
+    # and rho, which every reflection moves
+    weights = [tuple(int(t == s) for t in range(rank)) for s in range(rank)] + [(1,) * rank]
+    for beta, beta_co in coroot.items():
+        beta_w = root_to_weight_coords(cartan, beta)
+        for w in weights:
+            coef = sum(map(mul, w, beta_co))
+            image = tuple(a - coef * b for a, b in zip(w, beta_w))
+            found = tables.weight_images[beta][tuple(list(w))]
+            assert found == image and pool[image] is found
+            assert tables.weight_images[beta][found] is pool[w]
 
 
 @pytest.mark.parametrize("family,rank", TYPES)
